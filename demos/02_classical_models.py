@@ -41,12 +41,14 @@ print(f"arima: selected order {order} by AIC")
 forecasts["arima"] = rolling_forecasts(lambda h: arima_forecast(arima, h),
                                        rv, start, stop)
 
-# GARCH runs on per-bucket returns; build a seeded return proxy from rv
+# GARCH runs on per-bucket returns; build a seeded return proxy from rv.
+# r[k] is the return of bucket k+1, so the forecast for rv[t] is the
+# variance path at return index t-1, built from returns up to r[t-2].
 rng = np.random.default_rng(99)
 r = rv[1:] * rng.standard_normal(len(rv) - 1)
 g = with_bucket_scale(garch_fit(r[:start - 1]), 1)
 print(f"garch: omega = {g.omega:.2e}, alpha = {g.alpha:.3f}, beta = {g.beta:.3f}")
-forecasts["garch"] = garch_forecast_path(g, r, start, stop)
+forecasts["garch"] = garch_forecast_path(g, r, start - 1, stop - 1)
 
 print(f"\n{'model':>6} {'test MAE':>10} {'test RMSE':>10}")
 for name, fc in forecasts.items():

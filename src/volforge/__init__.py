@@ -6,6 +6,8 @@ oracle-tested evaluation protocol (accuracy metrics, Diebold-Mariano test,
 parametric VaR) and seeded synthetic-data generators.
 """
 
+__version__ = "0.1.0"  # before the imports: runner reads it at import time
+
 from .errors import ConfigError, DataError, FitError, VolforgeError
 from .series import (MinMaxScaler, PriceSeries, ReturnSeries, RVSeries, SplitSpec,
                      aggregate_log_rv, apply_zero_floor, log_returns,
@@ -18,5 +20,3 @@ from .evaluation import (DmResult, EvalReport, ForecastRecord, build_report,
                          dm_test, point_metrics, var_estimate)
 from .synth import GarchSimSpec, GbmSpec, rv_consistency_probe, simulate_garch, simulate_gbm
 from .runner import ExperimentConfig, RunManifest, parse_config, run_experiment
-
-__version__ = "0.1.0"

@@ -3,7 +3,8 @@
 Verbs: ``ingest`` (prices -> RV CSV), ``run`` (full experiment),
 ``simulate`` (synthetic price data), ``gradcheck`` (RNN gradient
 diagnostic).  Exit codes: 0 success, 2 config error, 3 data error,
-4 all models failed.
+4 model error: all models failed, or ``gradcheck`` found a gradient error
+of 1e-4 or more.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .series import log_returns, read_price_csv, realized_volatility, write_pric
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_ALL_FAILED = 4
+EXIT_MODEL = 4
 
 
 def _build_parser():
@@ -82,30 +83,15 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     if config.source != "synth":
         raise ConfigError("simulate requires data.source=synth")
+    source = synth.build_source(config.synth_kind, dict(config.synth_params), config.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params = dict(config.synth_params)
     if config.synth_kind == "gbm":
-        spec = synth.GbmSpec(
-            s0=params.get("s0", 100.0), mu=params.get("mu", 0.0),
-            sigma=params.get("sigma", 0.2), dt=params.get("dt", 1.0 / (252 * 390)),
-            steps_per_bucket=int(params.get("steps_per_bucket", 390)),
-            buckets=int(params.get("buckets", 1000)),
-            seed=int(params.get("seed", config.seed)))
-        prices, _ = synth.simulate_gbm(spec)
-        write_price_csv(prices, out / "prices.csv")
-        print(f"wrote {len(prices)} prices to {out / 'prices.csv'}")
-    elif config.synth_kind == "cascade":
-        rv = synth.simulate_log_vol_cascade(
-            c=params.get("c", -0.4), beta_d=params.get("beta_d", 0.35),
-            beta_w=params.get("beta_w", 0.3), beta_m=params.get("beta_m", 0.25),
-            noise_sd=params.get("noise_sd", 0.3),
-            length=int(params.get("length", 3000)),
-            seed=int(params.get("seed", config.seed)))
-        write_rv_csv(rv, out / "rv.csv")
-        print(f"wrote {len(rv)} rv buckets to {out / 'rv.csv'}")
+        write_price_csv(source, out / "prices.csv")
+        print(f"wrote {len(source)} prices to {out / 'prices.csv'}")
     else:
-        raise ConfigError(f"unknown synth kind {config.synth_kind!r}")
+        write_rv_csv(source, out / "rv.csv")
+        print(f"wrote {len(source)} rv buckets to {out / 'rv.csv'}")
     return EXIT_OK
 
 
@@ -118,8 +104,9 @@ def cmd_gradcheck(args) -> int:
         err = rnn_gradient_check(cfg)
         worst = max(worst, err)
         print(f"{cell}: max relative gradient error {err:.3e}")
-    print("PASS" if worst < 1e-4 else "FAIL")
-    return EXIT_OK
+    passed = worst < 1e-4
+    print("PASS" if passed else "FAIL")
+    return EXIT_OK if passed else EXIT_MODEL
 
 
 def main(argv=None) -> int:
@@ -136,7 +123,7 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except FitError as exc:
         print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_ALL_FAILED
+        return EXIT_MODEL
 
 
 if __name__ == "__main__":

@@ -144,9 +144,6 @@ class EvalReport:
     reference: str
     failures: tuple = ()
 
-    def model_ids(self):
-        return [r.model_id for r in self.rows]
-
 
 def build_report(records, reference: str, var_horizon: int = 10,
                  var_confidence: float = 0.95, failures=()) -> EvalReport:

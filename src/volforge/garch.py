@@ -173,17 +173,17 @@ def with_bucket_scale(model: GarchModel, m: int) -> GarchModel:
 
 
 def garch_forecast_path(model: GarchModel, returns, start: int, stop: int) -> np.ndarray:
-    """Rolling 1-step rv forecasts for indices [start, stop).
+    """Rolling 1-step rv forecasts sqrt(M * sigma2[t]) for t in [start, stop).
 
-    forecast[t] uses returns up to t-1 via the full variance recursion; the
+    sigma2[t] uses returns up to t-1 via the full variance recursion; the
     recursion is seeded with the variance of the pre-start returns so no
     future observation leaks into the initialization.
     """
+    if model.returns_per_bucket is None:
+        raise DataError("returns_per_bucket (M) not set on the model; "
+                        "set it to 1 for per-bucket return fitting")
     r = np.asarray(returns, dtype=float)
     sigma2_0 = float(np.var(r[:start])) if start > 1 else None
     sigma2 = variance_path(r, model.omega, model.alpha, model.beta, model.gamma,
                            model.mu, sigma2_0=sigma2_0)
-    out = np.empty(stop - start)
-    for t in range(start, stop):
-        out[t - start] = garch_forecast(model, r[t - 1], sigma2[t - 1])
-    return out
+    return np.sqrt(sigma2[start:stop] * model.returns_per_bucket)

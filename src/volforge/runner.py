@@ -1,12 +1,11 @@
 """Experiment orchestration: config parsing, model fitting, rolling
 out-of-sample forecasts and report emission.
 
-Refit policy (frozen by default): classical models select their
-hyperparameters on the validation window with parameters fit on train, are
-refit once on train+validation, and then roll through the test window with
-parameters held fixed.  RNN weights are trained once on train, selected on
-validation and frozen for test.  ``refit_per_step=true`` switches classical
-models to per-step refitting.
+Refit policy: classical models select their hyperparameters on the
+validation window with parameters fit on train, are refit once on
+train+validation, and then roll through the test window with parameters held
+fixed.  RNN weights are trained once on train, selected on validation and
+frozen for test.
 
 GARCH-family models fit per-bucket close-to-close log returns and compare
 their conditional standard deviation against rv directly (M = 1 convention,
@@ -17,26 +16,142 @@ are generated as rv_t * z_t with seeded standard normal z.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import classical, garch, synth
+from . import __version__, classical, garch, synth
 from .errors import ConfigError, DataError, FitError, VolforgeError
 from .evaluation import ForecastRecord, build_report, report_csv, report_text
 from .rnn import RnnConfig, rnn_forecast_path, window_search
 from .rnn.search import search_log_csv
-from .series import (SplitSpec, apply_zero_floor, log_returns,
+from .series import (RVSeries, SplitSpec, apply_zero_floor, bucket_label, log_returns,
                      read_price_csv, realized_volatility, split)
 
-CLASSICAL_MODELS = ("naive", "ewma", "har", "har_opt", "arima", "garch", "gjr")
-RNN_MODELS = ("lstm", "gru")
-ALL_MODELS = CLASSICAL_MODELS + RNN_MODELS
 
+# ---------------------------------------------------------------------------
+# Models: fit(config, data) -> (validation model, test model, dump, search log)
+# and path(model, data, start, stop) -> 1-step forecasts for [start, stop).
+# A path may read values[:t] and returns[:t - 1] for the forecast of index t.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Data:
+    """Zero-floored rv values and bucket returns, split at v_start / v_stop.
+
+    returns[k] is the close-to-close log return of bucket k+1.  Train is
+    [0, v_start), validation [v_start, v_stop), test [v_stop, len(values)).
+    """
+
+    values: np.ndarray
+    returns: np.ndarray
+    v_start: int
+    v_stop: int
+
+    @property
+    def train(self):
+        return self.values[:self.v_start]
+
+    @property
+    def valid(self):
+        return self.values[self.v_start:self.v_stop]
+
+    @property
+    def trainval(self):
+        return self.values[:self.v_stop]
+
+
+def _rolling(forecast):
+    """A path calling forecast(model, values[:t]) for each t in [start, stop)."""
+    return lambda model, data, start, stop: classical.rolling_forecasts(
+        lambda h: forecast(model, h), data.values, start, stop)
+
+
+def _fit_ewma(config, data):
+    model = classical.ewma_fit(data.train, data.valid, config.metric, config.ewma_grid)
+    refit = classical.EwmaModel(model.alpha, float(np.mean(data.trainval ** 2)))
+    return model, refit, model.dump(), None
+
+
+def _path_ewma(model, data, start, stop):
+    return classical.ewma_forecasts(data.values[:stop], model.alpha, model.sigma2_0)[start:stop]
+
+
+def _fit_har(config, data, search):
+    if search:
+        grid = config.har_grid or classical.default_har_lag_grid()
+        model = classical.har_lag_search(data.train, data.valid, config.metric, grid)
+    else:
+        model = classical.har_fit(data.train, config.har_lags)
+    refit = classical.har_fit(data.trainval, model.lags)
+    return model, refit, refit.dump(), None
+
+
+def _fit_arima(config, data):
+    order = classical.arima_order_select(data.train, config.arima_orders)
+    model = classical.arima_fit(data.train, order)
+    refit = classical.arima_fit(data.trainval, order)
+    return model, refit, refit.dump(), None
+
+
+def _fit_garch(config, data, flavor):
+    model = garch.with_bucket_scale(garch.garch_fit(data.returns[:data.v_start - 1], flavor), 1)
+    refit = garch.with_bucket_scale(garch.garch_fit(data.returns[:data.v_stop - 1], flavor), 1)
+    return model, refit, refit.dump() + "returns_per_bucket=1\n", None
+
+
+def _path_garch(model, data, start, stop):
+    # returns[t - 2] is the last return known before bucket t
+    return garch.garch_forecast_path(model, data.returns, start - 1, stop - 1)
+
+
+def _rnn_config(config, cell, window):
+    return RnnConfig(cell=cell, window=window, layers=config.rnn_layers,
+                     units=config.rnn_units, dropout=config.rnn_dropout,
+                     activation=config.rnn_activation, loss=config.rnn_loss,
+                     epochs=config.rnn_epochs, batch_size=config.rnn_batch,
+                     optimizer=config.rnn_optimizer, learning_rate=config.rnn_lr,
+                     seed=config.seed)
+
+
+def _fit_rnn(config, data, cell):
+    base = _rnn_config(config, cell, config.rnn_windows[0])
+    model = window_search(data.train, data.valid, base, config.rnn_windows, config.metric)
+    dump = (f"model={cell}\nwindow={model.config.window}\n"
+            f"units={model.config.units}\nlayers={model.config.layers}\n")
+    return model, model, dump, model.search_log
+
+
+def _path_rnn(model, data, start, stop):
+    return rnn_forecast_path(model, data.values[:stop], start, stop)
+
+
+MODELS = {
+    "naive": (lambda config, data: (None, None, "model=naive\n", None),
+              _rolling(lambda model, h: classical.naive_forecast(h))),
+    "ewma": (_fit_ewma, _path_ewma),
+    "har": (partial(_fit_har, search=False),
+            _rolling(lambda model, h: classical.har_forecast(model, h))),
+    "har_opt": (partial(_fit_har, search=True),
+                _rolling(lambda model, h: classical.har_forecast(model, h))),
+    "arima": (_fit_arima, _rolling(lambda model, h: classical.arima_forecast(model, h))),
+    "garch": (partial(_fit_garch, flavor="garch"), _path_garch),
+    "gjr": (partial(_fit_garch, flavor="gjr"), _path_garch),
+    "lstm": (partial(_fit_rnn, cell="lstm"), _path_rnn),
+    "gru": (partial(_fit_rnn, cell="gru"), _path_rnn),
+}
+ALL_MODELS = tuple(MODELS)
+RNN_MODELS = tuple(m for m, (_, path) in MODELS.items() if path is _path_rnn)
+
+
+# ---------------------------------------------------------------------------
+# Configuration
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -66,7 +181,6 @@ class ExperimentConfig:
     rnn_loss: str = "MSE"
     rnn_dropout: float = 0.0
     rnn_activation: str = "linear"
-    refit_per_step: bool = False
 
     def __post_init__(self):
         if not self.models:
@@ -80,6 +194,11 @@ class ExperimentConfig:
             raise ConfigError("data.source=csv requires data.csv=<path>")
         if self.metric not in ("MSE", "MAE"):
             raise ConfigError("selection.metric must be MSE or MAE")
+        for cell in (m for m in self.models if m in RNN_MODELS):
+            if not self.rnn_windows:
+                raise ConfigError("rnn.windows must list at least one window")
+            for window in self.rnn_windows:
+                _rnn_config(self, cell, window)
 
     @property
     def reference_model(self) -> str:
@@ -88,15 +207,10 @@ class ExperimentConfig:
             raise ConfigError(f"reference model {ref!r} not enabled")
         return ref
 
-    def semantic_items(self):
-        skip = ()
-        for f in sorted(self.__dataclass_fields__):
-            if f in skip:
-                continue
-            yield f, getattr(self, f)
-
     def hash(self) -> str:
-        payload = "\n".join(f"{k}={v!r}" for k, v in self.semantic_items())
+        """sha256 of the fields as JSON, numpy scalars as plain Python values,
+        so equal configs hash equally on any numpy version."""
+        payload = json.dumps(asdict(self), sort_keys=True, default=lambda v: v.item())
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -106,8 +220,6 @@ def _parse_scalar(v: str):
             return cast(v)
         except ValueError:
             pass
-    if v.lower() in ("true", "false"):
-        return v.lower() == "true"
     return v
 
 
@@ -121,6 +233,52 @@ def _parse_int_list(v: str):
         else:
             out.append(int(part))
     return tuple(out)
+
+
+def _parse_triple(v: str):
+    out = tuple(int(x) for x in v.split(","))
+    if len(out) != 3:
+        raise ValueError(f"expected three comma-separated integers, got {v!r}")
+    return out
+
+
+def _parse_triples(v: str):
+    return tuple(_parse_triple(t) for t in v.split(";"))
+
+
+def _parse_grid(v: str):
+    lo, hi, step = (float(x) for x in v.split(":"))
+    n = int(round((hi - lo) / step)) + 1
+    return tuple(round(lo + i * step, 10) for i in range(n))
+
+
+# key -> (ExperimentConfig field, parser); other synth.* keys go to synth_params
+CONFIG_KEYS = {
+    "data.source": ("source", str),
+    "data.csv": ("csv_path", str),
+    "data.aggregation": ("aggregation", str),
+    "synth.kind": ("synth_kind", str),
+    "split.validation": ("validation_len", int),
+    "split.test": ("test_len", int),
+    "models": ("models", lambda v: tuple(m.strip() for m in v.split(",") if m.strip())),
+    "selection.metric": ("metric", str),
+    "seed": ("seed", int),
+    "reference": ("reference", str),
+    "ewma.grid": ("ewma_grid", _parse_grid),
+    "har.lags": ("har_lags", _parse_triple),
+    "har.grid": ("har_grid", lambda v: () if v == "default" else _parse_triples(v)),
+    "arima.orders": ("arima_orders", _parse_triples),
+    "rnn.windows": ("rnn_windows", _parse_int_list),
+    "rnn.units": ("rnn_units", int),
+    "rnn.layers": ("rnn_layers", int),
+    "rnn.epochs": ("rnn_epochs", int),
+    "rnn.batch": ("rnn_batch", int),
+    "rnn.optimizer": ("rnn_optimizer", str),
+    "rnn.lr": ("rnn_lr", float),
+    "rnn.loss": ("rnn_loss", str),
+    "rnn.dropout": ("rnn_dropout", float),
+    "rnn.activation": ("rnn_activation", str),
+}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -142,66 +300,14 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
     synth_params = {}
     try:
         for k, v in kv.items():
-            if k == "data.source":
-                args["source"] = v
-            elif k == "data.csv":
-                args["csv_path"] = v
-            elif k == "data.aggregation":
-                args["aggregation"] = v
-            elif k == "synth.kind":
-                args["synth_kind"] = v
+            if k in CONFIG_KEYS:
+                field, parse = CONFIG_KEYS[k]
+                args[field] = parse(v)
             elif k.startswith("synth."):
                 synth_params[k[len("synth."):]] = _parse_scalar(v)
-            elif k == "split.validation":
-                args["validation_len"] = int(v)
-            elif k == "split.test":
-                args["test_len"] = int(v)
-            elif k == "models":
-                args["models"] = tuple(m.strip() for m in v.split(",") if m.strip())
-            elif k == "selection.metric":
-                args["metric"] = v
-            elif k == "seed":
-                args["seed"] = int(v)
-            elif k == "reference":
-                args["reference"] = v
-            elif k == "ewma.grid":
-                lo, hi, step = (float(x) for x in v.split(":"))
-                n = int(round((hi - lo) / step)) + 1
-                args["ewma_grid"] = tuple(round(lo + i * step, 10) for i in range(n))
-            elif k == "har.lags":
-                args["har_lags"] = tuple(int(x) for x in v.split(","))
-            elif k == "har.grid":
-                if v != "default":
-                    triples = [tuple(int(x) for x in t.split(",")) for t in v.split(";")]
-                    args["har_grid"] = tuple(triples)
-            elif k == "arima.orders":
-                triples = [tuple(int(x) for x in t.split(",")) for t in v.split(";")]
-                args["arima_orders"] = tuple(triples)
-            elif k == "rnn.windows":
-                args["rnn_windows"] = _parse_int_list(v)
-            elif k == "rnn.units":
-                args["rnn_units"] = int(v)
-            elif k == "rnn.layers":
-                args["rnn_layers"] = int(v)
-            elif k == "rnn.epochs":
-                args["rnn_epochs"] = int(v)
-            elif k == "rnn.batch":
-                args["rnn_batch"] = int(v)
-            elif k == "rnn.optimizer":
-                args["rnn_optimizer"] = v
-            elif k == "rnn.lr":
-                args["rnn_lr"] = float(v)
-            elif k == "rnn.loss":
-                args["rnn_loss"] = v
-            elif k == "rnn.dropout":
-                args["rnn_dropout"] = float(v)
-            elif k == "rnn.activation":
-                args["rnn_activation"] = v
-            elif k == "refit_per_step":
-                args["refit_per_step"] = v.lower() == "true"
             else:
                 raise ConfigError(f"unknown config key {k!r}")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     if synth_params:
         args["synth_params"] = tuple(sorted(synth_params.items()))
@@ -216,37 +322,19 @@ def _load_data(config: ExperimentConfig):
     """Returns (rv_series, bucket_returns) with bucket_returns[k] the
     close-to-close log return of bucket k+1 (length len(rv) - 1)."""
     if config.source == "csv":
-        prices = read_price_csv(config.csv_path)
-        rv = realized_volatility(log_returns(prices), config.aggregation)
-        closes = _bucket_closes(prices, config.aggregation, rv.period_labels)
-        return rv, np.diff(np.log(closes))
-    params = dict(config.synth_params)
-    if config.synth_kind == "gbm":
-        spec = synth.GbmSpec(
-            s0=params.get("s0", 100.0), mu=params.get("mu", 0.0),
-            sigma=params.get("sigma", 0.2), dt=params.get("dt", 1.0 / (252 * 390)),
-            steps_per_bucket=int(params.get("steps_per_bucket", 390)),
-            buckets=int(params.get("buckets", 1000)),
-            seed=int(params.get("seed", config.seed)))
-        prices, _ = synth.simulate_gbm(spec)
-        rv = realized_volatility(log_returns(prices), config.aggregation)
-        closes = _bucket_closes(prices, config.aggregation, rv.period_labels)
-        return rv, np.diff(np.log(closes))
-    if config.synth_kind == "cascade":
-        rv = synth.simulate_log_vol_cascade(
-            c=params.get("c", -0.4), beta_d=params.get("beta_d", 0.35),
-            beta_w=params.get("beta_w", 0.3), beta_m=params.get("beta_m", 0.25),
-            noise_sd=params.get("noise_sd", 0.3),
-            length=int(params.get("length", 3000)),
-            seed=int(params.get("seed", config.seed)))
-        rng = np.random.default_rng(int(params.get("seed", config.seed)) + 7)
-        r = rv.rv[1:] * rng.standard_normal(len(rv) - 1)
-        return rv, r
-    raise ConfigError(f"unknown synth kind {config.synth_kind!r}")
+        source = read_price_csv(config.csv_path)
+    else:
+        params = dict(config.synth_params)
+        source = synth.build_source(config.synth_kind, params, config.seed)
+        if isinstance(source, RVSeries):
+            rng = np.random.default_rng(int(params.get("seed", config.seed)) + 7)
+            return source, source.rv[1:] * rng.standard_normal(len(source) - 1)
+    rv = realized_volatility(log_returns(source), config.aggregation)
+    closes = _bucket_closes(source, config.aggregation, rv.period_labels)
+    return rv, np.diff(np.log(closes))
 
 
 def _bucket_closes(prices, aggregation, labels):
-    from .series import bucket_label
     closes = {}
     for t, p in zip(prices.timestamps, prices.prices):
         closes[bucket_label(int(t), aggregation)] = p
@@ -254,108 +342,6 @@ def _bucket_closes(prices, aggregation, labels):
     if missing:
         raise DataError(f"no closing price for buckets {missing[:3]}")
     return np.array([closes[l] for l in labels])
-
-
-# ---------------------------------------------------------------------------
-# Rolling forecasts
-# ---------------------------------------------------------------------------
-
-def _rolling(values, start, stop, forecast_fn):
-    """Generic leakage-checked rolling loop: the forecast for index t is
-    computed from values[:t] before values[t] is ever touched."""
-    out = np.empty(stop - start)
-    for t in range(start, stop):
-        history = values[:t]
-        assert len(history) == t, "leakage: history extends past the forecast point"
-        out[t - start] = forecast_fn(history)
-    return out
-
-
-def _fit_and_forecast(model_id, config, values, r_full, v_start, v_stop, t_stop):
-    """Returns (validation forecasts, test forecasts, fitted-description)."""
-    metric = config.metric
-    train = values[:v_start]
-    valid = values[v_start:v_stop]
-    trainval = values[:v_stop]
-
-    if model_id == "naive":
-        fc_v = _rolling(values, v_start, v_stop, classical.naive_forecast)
-        fc_t = _rolling(values, v_stop, t_stop, classical.naive_forecast)
-        return fc_v, fc_t, "model=naive\n"
-
-    if model_id == "ewma":
-        model = classical.ewma_fit(train, valid, metric, config.ewma_grid)
-        fc_v = classical.ewma_forecasts(trainval, model.alpha, model.sigma2_0)[v_start:v_stop]
-        sigma2_0 = float(np.mean(trainval ** 2))
-        fc_t = classical.ewma_forecasts(values, model.alpha, sigma2_0)[v_stop:t_stop]
-        return fc_v, fc_t, model.dump()
-
-    if model_id in ("har", "har_opt"):
-        if model_id == "har":
-            model = classical.har_fit(train, config.har_lags)
-        else:
-            grid = config.har_grid or classical.default_har_lag_grid()
-            model = classical.har_lag_search(train, valid, metric, grid)
-        fc_v = _rolling(values, v_start, v_stop,
-                        lambda h: classical.har_forecast(model, h))
-        refit = (classical.har_fit(trainval, model.lags)
-                 if not config.refit_per_step else None)
-        if config.refit_per_step:
-            fc_t = _rolling(values, v_stop, t_stop,
-                            lambda h: classical.har_forecast(
-                                classical.har_fit(h, model.lags), h))
-            dump = model.dump()
-        else:
-            fc_t = _rolling(values, v_stop, t_stop,
-                            lambda h: classical.har_forecast(refit, h))
-            dump = refit.dump()
-        return fc_v, fc_t, dump
-
-    if model_id == "arima":
-        order = classical.arima_order_select(train, config.arima_orders)
-        model = classical.arima_fit(train, order)
-        fc_v = _rolling(values, v_start, v_stop,
-                        lambda h: classical.arima_forecast(model, h))
-        refit = classical.arima_fit(trainval, order)
-        fc_t = _rolling(values, v_stop, t_stop,
-                        lambda h: classical.arima_forecast(refit, h))
-        return fc_v, fc_t, refit.dump()
-
-    if model_id in ("garch", "gjr"):
-        flavor = "garch" if model_id == "garch" else "gjr"
-        model = garch.with_bucket_scale(garch.garch_fit(r_full[:v_start - 1], flavor), 1)
-        fc_v = _garch_path(model, r_full, v_start, v_stop)
-        refit = garch.with_bucket_scale(garch.garch_fit(r_full[:v_stop - 1], flavor), 1)
-        fc_t = _garch_path(refit, r_full, v_stop, t_stop)
-        return fc_v, fc_t, refit.dump() + "returns_per_bucket=1\n"
-
-    if model_id in ("lstm", "gru"):
-        base = RnnConfig(cell=model_id, window=config.rnn_windows[0],
-                         layers=config.rnn_layers, units=config.rnn_units,
-                         dropout=config.rnn_dropout, activation=config.rnn_activation,
-                         loss=config.rnn_loss, epochs=config.rnn_epochs,
-                         batch_size=config.rnn_batch, optimizer=config.rnn_optimizer,
-                         learning_rate=config.rnn_lr, seed=config.seed)
-        model = window_search(train, valid, base, config.rnn_windows, metric)
-        fc_v = rnn_forecast_path(model, values[:v_stop], v_start, v_stop)
-        fc_t = rnn_forecast_path(model, values, v_stop, t_stop)
-        dump = (f"model={model_id}\nwindow={model.config.window}\n"
-                f"units={model.config.units}\nlayers={model.config.layers}\n")
-        return fc_v, fc_t, dump, model
-    raise ConfigError(f"unknown model {model_id!r}")
-
-
-def _garch_path(model, r_full, start, stop):
-    """rv forecast for bucket t from the variance recursion through t-1.
-
-    r_full[k] is the return of bucket k+1, so sigma2[t-1] is the conditional
-    variance of bucket t.
-    """
-    sigma2_0 = float(np.var(r_full[:start - 1])) if start > 2 else None
-    sigma2 = garch.variance_path(r_full, model.omega, model.alpha, model.beta,
-                                 model.gamma, model.mu, sigma2_0=sigma2_0)
-    m = model.returns_per_bucket
-    return np.sqrt(sigma2[start - 1:stop - 1] * m)
 
 
 @dataclass(frozen=True)
@@ -398,43 +384,24 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     rv = apply_zero_floor(rv, len(train_rv))
     values = rv.rv
     v_start, v_stop, t_stop = len(train_rv), len(train_rv) + len(valid_rv), len(rv)
+    data = Data(values, r_full, v_start, v_stop)
 
     results, failures, timings, dumps = {}, [], [], []
-    rnn_logs = {}
-
-    def run_one(model_id):
+    search_logs = {}
+    for model_id in config.models:
+        fit, path = MODELS[model_id]
         t0 = time.perf_counter()
-        out = _fit_and_forecast(model_id, config, values, r_full, v_start, v_stop, t_stop)
-        return model_id, out, time.perf_counter() - t0
-
-    threads = max(1, int(os.environ.get("VOLFORGE_THREADS", "1")))
-    if threads > 1 and len(config.models) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {m: pool.submit(run_one, m) for m in config.models}
-            raw = {}
-            for m, fut in futures.items():
-                try:
-                    raw[m] = fut.result()
-                except VolforgeError as exc:
-                    failures.append((m, str(exc)))
-    else:
-        raw = {}
-        for m in config.models:
-            try:
-                raw[m] = run_one(m)
-            except VolforgeError as exc:
-                failures.append((m, str(exc)))
-
-    for model_id in config.models:         # registry order, deterministic join
-        if model_id not in raw:
+        try:
+            model, refit, dump, search_log = fit(config, data)
+            results[model_id] = (path(model, data, v_start, v_stop),
+                                 path(refit, data, v_stop, t_stop))
+        except VolforgeError as exc:
+            failures.append((model_id, str(exc)))
             continue
-        _, out, secs = raw[model_id]
-        fc_v, fc_t, dump = out[0], out[1], out[2]
-        if len(out) > 3:
-            rnn_logs[model_id] = out[3].search_log
-        results[model_id] = (fc_v, fc_t)
-        timings.append((model_id, secs))
+        timings.append((model_id, time.perf_counter() - t0))
         dumps.append((model_id, dump))
+        if search_log is not None:
+            search_logs[model_id] = search_log
 
     if not results:
         raise FitError("all enabled models failed",
@@ -442,10 +409,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
 
     reference = config.reference_model if config.reference_model in results \
         else next(reversed(results))
-    recs_v = [ForecastRecord(m, valid_rv_actual(values, v_start, v_stop), fc[0])
-              for m, fc in results.items()]
-    recs_t = [ForecastRecord(m, valid_rv_actual(values, v_stop, t_stop), fc[1])
-              for m, fc in results.items()]
+    recs_v = [ForecastRecord(m, values[v_start:v_stop], fc[0]) for m, fc in results.items()]
+    recs_t = [ForecastRecord(m, values[v_stop:t_stop], fc[1]) for m, fc in results.items()]
     report_v = build_report(recs_v, reference, failures=failures)
     report_t = build_report(recs_t, reference, failures=failures)
 
@@ -464,20 +429,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
         plots.mkdir(exist_ok=True)
         emit_plot_data(recs_v, rv.period_labels[v_start:v_stop], plots, suffix="validation")
         emit_plot_data(recs_t, rv.period_labels[v_stop:t_stop], plots, suffix="test")
-        for model_id, log in rnn_logs.items():
-            entries = tuple((w, v) for w, v in log)
-            _atomic_write(out / f"{model_id}_window_search.csv", search_log_csv(entries))
+        for model_id, log in search_logs.items():
+            _atomic_write(out / f"{model_id}_window_search.csv", search_log_csv(log))
     return report_v, report_t, manifest
-
-
-def valid_rv_actual(values, start, stop):
-    return values[start:stop]
 
 
 def _versions():
     import platform
     import scipy
-    return (("volforge", "0.1.0"), ("python", platform.python_version()),
+    return (("volforge", __version__), ("python", platform.python_version()),
             ("numpy", np.__version__), ("scipy", scipy.__version__))
 
 

@@ -115,9 +115,6 @@ class RVSeries:
     def slice(self, start: int, stop: int) -> "RVSeries":
         return RVSeries(self.period_labels[start:stop], self.rv[start:stop].copy(), self.aggregation)
 
-    def with_values(self, rv: np.ndarray) -> "RVSeries":
-        return RVSeries(self.period_labels, rv, self.aggregation)
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -179,9 +176,8 @@ def realized_volatility(returns: ReturnSeries, aggregation: str,
                         min_returns: int = 1) -> RVSeries:
     """Per-bucket sqrt of summed squared returns.
 
-    Buckets with fewer than ``min_returns`` observations are dropped (the
-    dropped labels are retrievable via :func:`bucket_counts`); partial leading
-    or trailing buckets that meet the threshold are kept.
+    Buckets with fewer than ``min_returns`` observations are dropped; partial
+    leading or trailing buckets that meet the threshold are kept.
     """
     if len(returns) == 0:
         raise DataError("cannot aggregate an empty return series")
@@ -201,15 +197,6 @@ def realized_volatility(returns: ReturnSeries, aggregation: str,
     if not out_labels:
         raise DataError("all buckets dropped by min_returns filter")
     return RVSeries(tuple(out_labels), np.array(out_rv), aggregation)
-
-
-def bucket_counts(returns: ReturnSeries, aggregation: str) -> dict:
-    """Number of returns per bucket, in chronological order."""
-    counts: dict = {}
-    for t in returns.timestamps:
-        lbl = bucket_label(t, aggregation)
-        counts[lbl] = counts.get(lbl, 0) + 1
-    return counts
 
 
 def aggregate_log_rv(rv: np.ndarray, n: int) -> np.ndarray:
@@ -245,7 +232,7 @@ def apply_zero_floor(rv: RVSeries, train_len: int, factor: float = 1e-3) -> RVSe
         raise DataError("training partition has no positive rv; cannot derive zero-floor")
     floor = float(np.min(positive)) * factor
     vals[vals == 0] = floor
-    return rv.with_values(vals)
+    return RVSeries(rv.period_labels, vals, rv.aggregation)
 
 
 def split(rv: RVSeries, spec: SplitSpec, min_train: int = 1):

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .series import PriceSeries, ReturnSeries, RVSeries, log_returns, realized_volatility
 
 _EPOCH0 = int(datetime(2020, 1, 1, tzinfo=timezone.utc).timestamp())
@@ -153,6 +153,35 @@ def simulate_log_vol_cascade(c, beta_d, beta_w, beta_m, lags=(1, 5, 22),
         datetime.fromtimestamp(start + i * _DAY, tz=timezone.utc).strftime("%Y-%m-%d")
         for i in range(length))
     return RVSeries(labels, vals, "day")
+
+
+# synth.* config keys of each source kind, with their defaults
+SOURCE_DEFAULTS = {
+    "gbm": {"s0": 100.0, "mu": 0.0, "sigma": 0.2, "dt": 1.0 / (252 * 390),
+            "steps_per_bucket": 390, "buckets": 1000},
+    "cascade": {"c": -0.4, "beta_d": 0.35, "beta_w": 0.3, "beta_m": 0.25,
+                "noise_sd": 0.3, "length": 3000},
+}
+
+
+def build_source(kind: str, params: dict, seed: int):
+    """GBM prices (PriceSeries) or a log-volatility cascade (RVSeries) from
+    the ``synth.*`` config values in ``params``; ``seed`` is the default of
+    their ``seed`` key.  An unknown kind or key is a ConfigError."""
+    if kind not in SOURCE_DEFAULTS:
+        raise ConfigError(f"unknown synth kind {kind!r}")
+    defaults = {**SOURCE_DEFAULTS[kind], "seed": seed}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown key synth.{unknown[0]} for synth.kind={kind}, "
+                          f"expected one of {sorted(defaults)}")
+    try:
+        p = {k: type(v)(params.get(k, v)) for k, v in defaults.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad synth value: {exc}") from exc
+    if kind == "gbm":
+        return simulate_gbm(GbmSpec(**p))[0]
+    return simulate_log_vol_cascade(**p)
 
 
 def rv_consistency_probe(spec: GbmSpec, frequencies) -> list:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from volforge.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from volforge.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MODEL, EXIT_OK, main
 from volforge.errors import ConfigError
 from volforge.evaluation import ForecastRecord
-from volforge.runner import (ExperimentConfig, config_from_mapping,
-                             emit_plot_data, parse_config, run_experiment)
+from volforge.runner import (ALL_MODELS, MODELS, Data, ExperimentConfig,
+                             config_from_mapping, emit_plot_data, parse_config,
+                             run_experiment)
 from volforge.series import read_rv_csv
 from volforge.synth import simulate_log_vol_cascade
 
@@ -83,6 +86,13 @@ class TestConfig:
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
         assert len(a.hash()) == 64
+
+    def test_equal_configs_hash_equally(self):
+        # the default grid holds numpy floats, the parsed one Python floats
+        a = ExperimentConfig()
+        b = config_from_mapping({"ewma.grid": "0.01:0.99:0.01"})
+        assert a == b
+        assert a.hash() == b.hash()
 
 
 class TestRunExperiment:
@@ -216,6 +226,21 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines", [
+        "arima.orders = 1,0;2,0,1\nmodels = arima\n",
+        "har.grid = 1,5;2,10,40\nmodels = har_opt\n",
+        "har.lags = 1,5\n",
+        "ewma.grid = 0.1:0.9:0\nmodels = ewma\n",
+        "rnn.units = 7\nmodels = lstm\n",
+        "synth.lenght = 400\n",
+        "synth.length = long\n",
+    ])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, lines):
+        cfg = write_config(tmp_path, CASCADE_CONFIG + lines)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path,
                            "data.source = csv\ndata.csv = missing.csv\nmodels = naive\n")
@@ -260,10 +285,46 @@ class TestCli:
         out = capsys.readouterr().out
         assert "lstm" in out and "gru" in out and "PASS" in out
 
-    def test_threads_env_same_results(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path)
-        o1, o2 = tmp_path / "t1", tmp_path / "t2"
-        main(["run", "--config", str(cfg), "--out", str(o1)])
-        monkeypatch.setenv("VOLFORGE_THREADS", "2")
-        main(["run", "--config", str(cfg), "--out", str(o2)])
-        assert (o1 / "test_report.csv").read_text() == (o2 / "test_report.csv").read_text()
+    def test_gradcheck_failure_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr("volforge.cli.rnn_gradient_check", lambda config: 1.0)
+        assert main(["gradcheck", "--cell", "lstm"]) == EXIT_MODEL
+        assert "FAIL" in capsys.readouterr().out
+
+
+LEAK_V_START, LEAK_V_STOP, LEAK_T_STOP = 140, 170, 200
+
+
+@pytest.fixture(scope="module")
+def fitted_models():
+    """Each model's test-window model and forecasts, fitted once on a cascade."""
+    rv = simulate_log_vol_cascade(-0.4, 0.35, 0.3, 0.25, noise_sd=0.3,
+                                  length=LEAK_T_STOP, seed=5).rv
+    r = rv[1:] * np.random.default_rng(12).standard_normal(len(rv) - 1)
+    data = Data(rv, r, LEAK_V_START, LEAK_V_STOP)
+    config = ExperimentConfig(
+        models=ALL_MODELS, ewma_grid=(0.5, 0.9), har_grid=((1, 5, 22), (2, 6, 30)),
+        arima_orders=((1, 0, 0), (1, 0, 1)), rnn_windows=(2, 5), rnn_epochs=1,
+        rnn_units=5)
+    fitted = {}
+    for model_id, (fit, path) in MODELS.items():
+        _, model, _, _ = fit(config, data)
+        fitted[model_id] = (model, path(model, data, LEAK_V_STOP, LEAK_T_STOP))
+    return data, fitted
+
+
+@pytest.mark.parametrize("model_id", ALL_MODELS)
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(LEAK_V_STOP, LEAK_T_STOP - 1),
+       scale=st.floats(0.5, 2.0).filter(lambda s: s != 1.0))
+def test_forecasts_ignore_later_data(fitted_models, model_id, k, scale):
+    """Changing rv and returns from bucket k on leaves every test forecast up
+    to and including bucket k unchanged: forecast t sees only buckets < t."""
+    data, fitted = fitted_models
+    model, expected = fitted[model_id]
+    values, returns = data.values.copy(), data.returns.copy()
+    values[k:] *= scale
+    returns[k - 1:] *= -scale
+    perturbed = Data(values, returns, data.v_start, data.v_stop)
+    got = MODELS[model_id][1](model, perturbed, LEAK_V_STOP, LEAK_T_STOP)
+    seen = k - LEAK_V_STOP + 1
+    np.testing.assert_array_equal(got[:seen], expected[:seen])
