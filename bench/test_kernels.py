@@ -1,0 +1,55 @@
+"""Microbenchmarks of the classical forecasting kernels.
+
+Run from the repository root with ``PYTHONPATH=src python -m pytest bench
+--benchmark-only`` (pytest-benchmark).  The default ``pytest`` run does not
+collect this directory.  Inputs are seeded, so rounds time identical work.
+"""
+
+import numpy as np
+import pytest
+
+from volforge.classical import (ArimaModel, _css_residuals, _pacf_to_coeffs, arima_path,
+                                ewma_forecasts, har_fit, har_path)
+from volforge.garch import variance_path
+from volforge.synth import simulate_log_vol_cascade
+
+
+@pytest.fixture(scope="module")
+def rv():
+    """A 3000-point log-volatility cascade, the acceptance-08 length."""
+    return simulate_log_vol_cascade(-0.4, 0.35, 0.3, 0.25, noise_sd=0.3,
+                                    length=3000, seed=0).rv
+
+
+@pytest.mark.parametrize("n", [50, 3000])
+@pytest.mark.parametrize("p,q", [(1, 1), (3, 3)], ids=["order101", "order303"])
+def test_css_residuals(benchmark, n, p, q):
+    z = np.random.default_rng(0).standard_normal(n)
+    phi = _pacf_to_coeffs(np.full(p, 0.4))
+    theta = _pacf_to_coeffs(np.full(q, -0.3))
+    a = benchmark(_css_residuals, z, 0.01, phi, theta)
+    assert len(a) == n - p
+
+
+def test_variance_path(benchmark):
+    # 89 returns: the GJR fit's training window in the classical_cascade workload
+    r = np.random.default_rng(1).standard_normal(89) * 0.01
+    sigma2 = benchmark(variance_path, r, 1e-6, 0.05, 0.85, 0.08, 0.0)
+    assert len(sigma2) == 89
+
+
+def test_ewma_forecasts(benchmark, rv):
+    fc = benchmark(ewma_forecasts, rv, 0.94, float(np.mean(rv[:2000] ** 2)))
+    assert len(fc) == len(rv)
+
+
+def test_har_path(benchmark, rv):
+    model = har_fit(rv[:2000])
+    fc = benchmark(har_path, model, rv, 2000, 3000)
+    assert len(fc) == 1000
+
+
+def test_arima_path(benchmark, rv):
+    model = ArimaModel((1, 0, 1), (0.9,), (-0.4,), 0.001, 1e-5, 0.0)
+    fc = benchmark(arima_path, model, rv, 2, 3000)
+    assert len(fc) == 2998

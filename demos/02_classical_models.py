@@ -6,11 +6,10 @@ Run: python3 demos/02_classical_models.py
 
 import numpy as np
 
-from volforge import (ewma_fit, ewma_forecasts, har_fit, har_forecast,
-                      naive_forecast, arima_fit, arima_forecast,
-                      arima_order_select, garch_fit)
-from volforge.classical import rolling_forecasts
-from volforge.garch import garch_forecast_path, with_bucket_scale
+from volforge import (EwmaModel, arima_fit, arima_order_select, arima_path,
+                      ewma_fit, ewma_path, garch_fit, garch_forecast_path,
+                      har_fit, har_path, naive_path)
+from volforge.garch import with_bucket_scale
 from volforge.synth import simulate_log_vol_cascade
 
 rv = simulate_log_vol_cascade(-0.4, 0.35, 0.3, 0.25, noise_sd=0.3,
@@ -19,27 +18,27 @@ n_test = 100
 train, test = rv[:-n_test], rv[-n_test:]
 start, stop = len(train), len(rv)
 
+# Each *_path(model, values, start, stop) returns the 1-step forecasts for
+# indices [start, stop), the one for index t built from rv[:t] only.
 forecasts = {}
 
-forecasts["naive"] = rolling_forecasts(naive_forecast, rv, start, stop)
+forecasts["naive"] = naive_path(None, rv, start, stop)
 
 ewma = ewma_fit(train[:-100], train[-100:], "MSE",
                 np.round(np.arange(0.01, 1.0, 0.01), 2))
 print(f"ewma: alpha = {ewma.alpha:.2f}")
-forecasts["ewma"] = ewma_forecasts(rv, ewma.alpha,
-                                   float(np.mean(train ** 2)))[start:stop]
+forecasts["ewma"] = ewma_path(EwmaModel(ewma.alpha, float(np.mean(train ** 2))),
+                              rv, start, stop)
 
 har = har_fit(train)
 print(f"har:  c = {har.c:+.3f}, betas = ({har.beta_d:.3f}, "
       f"{har.beta_w:.3f}, {har.beta_m:.3f})")
-forecasts["har"] = rolling_forecasts(lambda h: har_forecast(har, h),
-                                     rv, start, stop)
+forecasts["har"] = har_path(har, rv, start, stop)
 
 order = arima_order_select(train, [(p, 0, q) for p in range(3) for q in range(3)])
 arima = arima_fit(train, order)
 print(f"arima: selected order {order} by AIC")
-forecasts["arima"] = rolling_forecasts(lambda h: arima_forecast(arima, h),
-                                       rv, start, stop)
+forecasts["arima"] = arima_path(arima, rv, start, stop)
 
 # GARCH runs on per-bucket returns; build a seeded return proxy from rv.
 # r[k] is the return of bucket k+1, so the forecast for rv[t] is the

@@ -13,9 +13,10 @@ from .series import (MinMaxScaler, PriceSeries, ReturnSeries, RVSeries, SplitSpe
                      aggregate_log_rv, apply_zero_floor, log_returns,
                      read_price_csv, realized_volatility, split, write_rv_csv)
 from .classical import (ArimaModel, EwmaModel, HarModel, arima_fit, arima_forecast,
-                        arima_order_select, ewma_fit, ewma_forecasts, ewma_step,
-                        har_fit, har_forecast, har_lag_search, naive_forecast)
-from .garch import GarchModel, garch_fit, garch_forecast, garch_loglik
+                        arima_order_select, arima_path, ewma_fit, ewma_forecasts,
+                        ewma_path, ewma_step, har_fit, har_forecast, har_lag_search,
+                        har_path, naive_forecast, naive_path)
+from .garch import GarchModel, garch_fit, garch_forecast, garch_forecast_path, garch_loglik
 from .evaluation import (DmResult, EvalReport, ForecastRecord, build_report,
                          dm_test, point_metrics, var_estimate)
 from .synth import GarchSimSpec, GbmSpec, rv_consistency_probe, simulate_garch, simulate_gbm

@@ -1,10 +1,17 @@
 """Naive, EWMA, HAR and ARIMA forecasters.
 
 Every model follows the same contract: a pure ``*_fit`` over the training
-window returning an immutable model value, and a pure ``*_forecast`` mapping
-a history to the next 1-step-ahead rv.  Search procedures (EWMA alpha grid,
-HAR lag grid) keep a complete candidate/metric log so an exhaustive replay
-can verify the returned argmin.
+window returning an immutable model value, and a pure
+``*_path(model, values, start, stop)`` returning, for each t in
+[start, stop), the 1-step-ahead rv forecast from ``values[:t]``, in one pass.
+``*_forecast(model, history)`` is the path's single step at
+t = len(history).  Search procedures (EWMA alpha grid, HAR lag grid) keep a
+complete candidate/metric log so an exhaustive replay can verify the
+returned argmin.
+
+The recursions keep the rounding of the per-step loops they replaced: the
+input terms are computed for the whole array at once in the loop's operation
+order, and only the feedback term runs as a loop, over Python floats.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, FitError
 from .series import aggregate_log_rv
@@ -32,12 +40,17 @@ def _loss(metric: str, actual: np.ndarray, predicted: np.ndarray) -> float:
 # Naive
 # ---------------------------------------------------------------------------
 
-def naive_forecast(history) -> float:
-    """Last observed value carried forward."""
-    history = np.asarray(history, dtype=float)
-    if len(history) == 0:
+def naive_path(model, values, start: int, stop: int) -> np.ndarray:
+    """Last observed value carried forward: values[t - 1] for t in [start, stop).
+    ``model`` is unused."""
+    if start < 1:
         raise DataError("naive forecast needs a non-empty history")
-    return float(history[-1])
+    return np.array(values[start - 1:stop - 1], dtype=float)
+
+
+def naive_forecast(history) -> float:
+    """The forecast for index len(history): one step of ``naive_path``."""
+    return float(naive_path(None, history, len(history), len(history) + 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +84,26 @@ def ewma_step(sigma2_prev: float, r_prev: float, alpha: float) -> float:
 def ewma_forecasts(values, alpha: float, sigma2_0: float) -> np.ndarray:
     """1-step rv forecasts over a series driven by its own squared values.
 
-    forecast[t] uses data up to t-1 only; forecast[0] = sqrt(sigma2_0).
+    forecast[t] uses data up to t-1 only; forecast[0] = sqrt(sigma2_0).  The
+    ``ewma_step`` recursion: (1 - alpha) r r for every r at once, then
+    s = alpha s + x_t.
     """
+    if not (0 < alpha <= 1):
+        raise DataError(f"alpha must be in (0, 1], got {alpha}")
+    if sigma2_0 < 0:
+        raise DataError("sigma2_0 must be non-negative")
     values = np.asarray(values, dtype=float)
-    out = np.empty(len(values))
-    sigma2 = sigma2_0
-    for t in range(len(values)):
-        out[t] = math.sqrt(sigma2)
-        sigma2 = ewma_step(sigma2, values[t], alpha)
-    return out
+    s = sigma2_0
+    sigma2 = [s]
+    for x in ((1.0 - alpha) * values[:-1] * values[:-1]).tolist():
+        s = alpha * s + x
+        sigma2.append(s)
+    return np.sqrt(sigma2[:len(values)])
+
+
+def ewma_path(model: EwmaModel, values, start: int, stop: int) -> np.ndarray:
+    """``ewma_forecasts`` of values[:stop] for the indices [start, stop)."""
+    return ewma_forecasts(values[:stop], model.alpha, model.sigma2_0)[start:stop]
 
 
 def ewma_fit(train, valid, metric: str = "MSE", grid=None) -> EwmaModel:
@@ -190,26 +214,31 @@ def har_fit(train, lags=(1, 5, 22)) -> HarModel:
                     float(beta[3]), fit_residual_variance=float(np.mean(resid * resid)))
 
 
-def har_forecast(model: HarModel, history) -> float:
-    """exp of the log-space regression prediction; no smearing correction."""
-    history = np.asarray(history, dtype=float)
+def har_path(model: HarModel, values, start: int, stop: int) -> np.ndarray:
+    """exp of the log-space regression prediction from values[:t] for each t
+    in [start, stop); no smearing correction."""
     d, w, m = model.lags
-    if len(history) < m:
-        raise DataError(f"history of length {len(history)} shorter than longest lag {m}")
-    if np.any(history[-m:] <= 0):
+    if start < m:
+        raise DataError(f"history of length {start} shorter than longest lag {m}")
+    if stop <= start:
+        return np.empty(0)
+    window = np.asarray(values, dtype=float)[start - m:stop - 1]
+    if np.any(window <= 0):
         raise DataError("history contains non-positive rv; apply the zero-floor first")
-    logs = np.log(history[-m:])
-    pred = (model.c
-            + model.beta_d * float(np.mean(logs[-d:]))
-            + model.beta_w * float(np.mean(logs[-w:]))
-            + model.beta_m * float(np.mean(logs[-m:])))
-    return float(np.exp(pred))
+    logs = np.log(window)
+
+    def mean_log(k):
+        # mean of log values[t - k:t] for each t in [start, stop)
+        return sliding_window_view(logs[m - k:], k).mean(axis=1)
+
+    pred = (model.c + model.beta_d * mean_log(d) + model.beta_w * mean_log(w)
+            + model.beta_m * mean_log(m))
+    return np.exp(pred)
 
 
-def rolling_forecasts(forecast_fn, values, start: int, stop: int) -> np.ndarray:
-    """1-step forecasts for indices [start, stop) using history up to each index."""
-    values = np.asarray(values, dtype=float)
-    return np.array([forecast_fn(values[:t]) for t in range(start, stop)])
+def har_forecast(model: HarModel, history) -> float:
+    """The forecast for index len(history): one step of ``har_path``."""
+    return float(har_path(model, history, len(history), len(history) + 1)[0])
 
 
 def har_lag_search(train, valid, metric: str = "MSE", lag_grid=None) -> HarModel:
@@ -231,8 +260,7 @@ def har_lag_search(train, valid, metric: str = "MSE", lag_grid=None) -> HarModel
     for lags in lag_grid:
         try:
             model = har_fit(train, lags)
-            fc = rolling_forecasts(lambda h: har_forecast(model, h),
-                                   full, len(train), len(full))
+            fc = har_path(model, full, len(train), len(full))
             val = _loss(metric, valid, fc)
         except (DataError, FitError):
             log.append((lags, math.inf))
@@ -299,19 +327,55 @@ def _pacf_to_coeffs(u: np.ndarray) -> np.ndarray:
 def _css_residuals(z: np.ndarray, c: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Residual recursion conditioning on the first p observations.
 
-    Pre-sample residuals are zero; returns residuals for t = p .. n-1.
+    a_t = z_t - (c + phi_1 z_{t-1} + ... + phi_p z_{t-p}
+                 - theta_1 a_{t-1} - ... - theta_q a_{t-q}),
+    summed left to right.  Pre-sample residuals are zero and left out of the
+    sum; returns residuals for t = p .. n-1.
     """
     p, q = len(phi), len(theta)
     n = len(z)
-    a = np.zeros(n)
-    for t in range(p, n):
-        pred = c
-        for i in range(1, p + 1):
-            pred += phi[i - 1] * z[t - i]
-        for j in range(1, min(q, t - p) + 1):
-            pred -= theta[j - 1] * a[t - j]
-        a[t] = z[t] - pred
-    return a[p:]
+    pred = np.full(max(n - p, 0), c, dtype=float)
+    for i in range(1, p + 1):
+        pred = pred + phi[i - 1] * z[p - i:n - i]
+    if q == 0:
+        return z[p:] - pred
+    return np.array(_ma_feedback(z[p:].tolist(), pred.tolist(), theta.tolist()))
+
+
+def _ma_feedback(z: list, pred: list, theta: list) -> list:
+    """a_k = z_k - (pred_k - theta_1 a_{k-1} - ... - theta_q a_{k-q}) over
+    Python floats, with only the residuals since k = 0 in the sum."""
+    q, n = len(theta), len(z)
+    a = []
+    warm_up = n if q > 3 else min(q, n)
+    for k in range(warm_up):
+        s = pred[k]
+        for j in range(min(q, k)):
+            s -= theta[j] * a[k - 1 - j]
+        a.append(z[k] - s)
+    if n == warm_up:
+        return a
+    rest = zip(z[warm_up:], pred[warm_up:])
+    append = a.append
+    if q == 1:
+        t1, = theta
+        a1 = a[-1]
+        for zk, pk in rest:
+            a1 = zk - (pk - t1 * a1)
+            append(a1)
+    elif q == 2:
+        t1, t2 = theta
+        a1, a2 = a[-1], a[-2]
+        for zk, pk in rest:
+            a1, a2 = zk - (pk - t1 * a1 - t2 * a2), a1
+            append(a1)
+    elif q == 3:
+        t1, t2, t3 = theta
+        a1, a2, a3 = a[-1], a[-2], a[-3]
+        for zk, pk in rest:
+            a1, a2, a3 = zk - (pk - t1 * a1 - t2 * a2 - t3 * a3), a1, a2
+            append(a1)
+    return a
 
 
 def _css_loglik(z: np.ndarray, c: float, phi: np.ndarray, theta: np.ndarray):
@@ -381,29 +445,37 @@ def arima_fit(train, order) -> ArimaModel:
                       tuple(float(v) for v in theta), c, sigma2, ll)
 
 
-def arima_forecast(model: ArimaModel, history) -> float:
-    """1-step mean forecast with residuals rebuilt by the CSS recursion."""
+def arima_path(model: ArimaModel, values, start: int, stop: int) -> np.ndarray:
+    """1-step mean forecasts from the CSS residuals of values[:stop - 1].
+
+    The residuals of a prefix are a prefix of the residuals, so one pass
+    serves every t in [start, stop).
+    """
     p, d, q = model.order
-    y = np.asarray(history, dtype=float)
-    if len(y) < p + d + 1:
-        raise DataError(f"history of length {len(y)} too short for order {model.order}")
+    if start < p + d + 1:
+        raise DataError(f"history of length {start} too short for order {model.order}")
+    y = np.asarray(values, dtype=float)[:stop - 1]
     z = _difference(y, d)
-    phi = np.asarray(model.phi)
-    theta = np.asarray(model.theta)
-    n = len(z)
-    a = np.zeros(n)
-    if n > p:
-        a[p:] = _css_residuals(z, model.intercept, phi, theta)
-    pred = model.intercept
+    phi = np.asarray(model.phi, dtype=float)
+    theta = np.asarray(model.theta, dtype=float)
+    a = np.zeros(len(z))
+    a[p:] = _css_residuals(z, model.intercept, phi, theta)
+    n = np.arange(start, stop) - d     # length of each differenced history
+    pred = np.full(len(n), model.intercept, dtype=float)
     for i in range(1, p + 1):
-        pred += phi[i - 1] * z[n - i]
+        pred = pred + phi[i - 1] * z[n - i]
     for j in range(1, q + 1):
-        if n - j >= 0:
-            pred -= theta[j - 1] * a[n - j]
+        known = n >= j
+        pred[known] = pred[known] - theta[j - 1] * a[n[known] - j]
     # undo the d-fold differencing
     for k in range(1, d + 1):
-        pred += (-1) ** (k + 1) * math.comb(d, k) * y[len(y) - k]
-    return float(pred)
+        pred = pred + (-1) ** (k + 1) * math.comb(d, k) * y[n + d - k]
+    return pred
+
+
+def arima_forecast(model: ArimaModel, history) -> float:
+    """The forecast for index len(history): one step of ``arima_path``."""
+    return float(arima_path(model, history, len(history), len(history) + 1)[0])
 
 
 def arima_order_select(train, candidate_orders) -> tuple:

@@ -52,28 +52,37 @@ class GarchModel:
 
 
 def variance_path(returns, omega, alpha, beta, gamma, mu, sigma2_0=None) -> np.ndarray:
-    """Conditional-variance recursion; sigma2[0] defaults to the sample variance."""
+    """Conditional-variance recursion; sigma2[0] defaults to the sample variance.
+
+    sigma2[t] = (omega + shock * eps[t-1]^2) + beta * sigma2[t-1], with
+    shock = alpha + gamma after a negative eps and alpha otherwise.  The
+    bracketed input term is computed for every t at once; only the beta
+    feedback runs as a loop, over Python floats.
+    """
     r = np.asarray(returns, dtype=float)
-    eps = r - mu
-    sigma2 = np.empty(len(r))
-    sigma2[0] = float(np.var(r)) if sigma2_0 is None else float(sigma2_0)
-    if sigma2[0] <= 0:
+    s = float(np.var(r)) if sigma2_0 is None else float(sigma2_0)
+    if s <= 0:
         raise DataError("zero-variance returns; GARCH undefined")
-    for t in range(1, len(r)):
-        shock = alpha + (gamma if eps[t - 1] < 0 else 0.0)
-        sigma2[t] = omega + shock * eps[t - 1] ** 2 + beta * sigma2[t - 1]
+    eps = r[:-1] - mu
+    inputs = omega + np.where(eps < 0, alpha + gamma, alpha) * (eps * eps)
+    sigma2 = [s]
+    for x in inputs.tolist():
+        s = x + beta * s
+        sigma2.append(s)
+    sigma2 = np.array(sigma2)
     if np.any(sigma2 <= 0):
         raise FitError("non-positive conditional variance in recursion")
     return sigma2
 
 
-def garch_loglik(params, returns) -> float:
-    """Gaussian log-likelihood of (omega, alpha, beta, gamma, mu) on returns."""
+def garch_loglik(params, returns, sigma2_0=None) -> float:
+    """Gaussian log-likelihood of (omega, alpha, beta, gamma, mu) on returns;
+    ``sigma2_0`` seeds the variance path (default: the sample variance)."""
     omega, alpha, beta, gamma, mu = params
     r = np.asarray(returns, dtype=float)
     if len(r) < 10:
         raise DataError("need at least 10 returns for the likelihood")
-    sigma2 = variance_path(r, omega, alpha, beta, gamma, mu)
+    sigma2 = variance_path(r, omega, alpha, beta, gamma, mu, sigma2_0)
     eps = r - mu
     return float(-0.5 * np.sum(_LOG_2PI + np.log(sigma2) + eps * eps / sigma2))
 
@@ -126,7 +135,7 @@ def garch_fit(returns, flavor: str = "garch") -> GarchModel:
     def neg_ll(x):
         omega, alpha, beta, gamma = _unpack(x, flavor, include_gamma)
         try:
-            return -garch_loglik((omega, alpha, beta, gamma, mu), r)
+            return -garch_loglik((omega, alpha, beta, gamma, mu), r, var)
         except (FitError, OverflowError):
             return 1e12
 
@@ -145,7 +154,7 @@ def garch_fit(returns, flavor: str = "garch") -> GarchModel:
         raise FitError("GARCH fit failed to reach a finite likelihood",
                        diagnostics={"x": list(x_best), "neg_ll": f_best})
     omega, alpha, beta, gamma = _unpack(x_best, flavor, include_gamma)
-    ll = garch_loglik((omega, alpha, beta, gamma, mu), r)
+    ll = garch_loglik((omega, alpha, beta, gamma, mu), r, var)
     return GarchModel(omega, alpha, beta, gamma, mu, ll, flavor)
 
 

@@ -66,20 +66,15 @@ class Data:
         return self.values[:self.v_stop]
 
 
-def _rolling(forecast):
-    """A path calling forecast(model, values[:t]) for each t in [start, stop)."""
-    return lambda model, data, start, stop: classical.rolling_forecasts(
-        lambda h: forecast(model, h), data.values, start, stop)
+def _on_values(path):
+    """A runner path from a path(model, values, start, stop) over rv values."""
+    return lambda model, data, start, stop: path(model, data.values, start, stop)
 
 
 def _fit_ewma(config, data):
     model = classical.ewma_fit(data.train, data.valid, config.metric, config.ewma_grid)
     refit = classical.EwmaModel(model.alpha, float(np.mean(data.trainval ** 2)))
     return model, refit, model.dump(), None
-
-
-def _path_ewma(model, data, start, stop):
-    return classical.ewma_forecasts(data.values[:stop], model.alpha, model.sigma2_0)[start:stop]
 
 
 def _fit_har(config, data, search):
@@ -133,13 +128,11 @@ def _path_rnn(model, data, start, stop):
 
 MODELS = {
     "naive": (lambda config, data: (None, None, "model=naive\n", None),
-              _rolling(lambda model, h: classical.naive_forecast(h))),
-    "ewma": (_fit_ewma, _path_ewma),
-    "har": (partial(_fit_har, search=False),
-            _rolling(lambda model, h: classical.har_forecast(model, h))),
-    "har_opt": (partial(_fit_har, search=True),
-                _rolling(lambda model, h: classical.har_forecast(model, h))),
-    "arima": (_fit_arima, _rolling(lambda model, h: classical.arima_forecast(model, h))),
+              _on_values(classical.naive_path)),
+    "ewma": (_fit_ewma, _on_values(classical.ewma_path)),
+    "har": (partial(_fit_har, search=False), _on_values(classical.har_path)),
+    "har_opt": (partial(_fit_har, search=True), _on_values(classical.har_path)),
+    "arima": (_fit_arima, _on_values(classical.arima_path)),
     "garch": (partial(_fit_garch, flavor="garch"), _path_garch),
     "gjr": (partial(_fit_garch, flavor="gjr"), _path_garch),
     "lstm": (partial(_fit_rnn, cell="lstm"), _path_rnn),
@@ -159,7 +152,7 @@ class ExperimentConfig:
     csv_path: str = ""
     aggregation: str = "day"
     synth_kind: str = "gbm"               # gbm | cascade
-    synth_params: tuple = ()              # sorted (key, value) pairs
+    synth_params: tuple = ()              # (key, value) pairs, sorted and typed on init
     validation_len: int = 252
     test_len: int = 252
     models: tuple = ("naive", "har")
@@ -194,6 +187,15 @@ class ExperimentConfig:
             raise ConfigError("data.source=csv requires data.csv=<path>")
         if self.metric not in ("MSE", "MAE"):
             raise ConfigError("selection.metric must be MSE or MAE")
+        if self.synth_params:
+            params = synth.coerce_params(self.synth_kind, dict(self.synth_params))
+            object.__setattr__(self, "synth_params", tuple(sorted(params.items())))
+        if "ewma" in self.models:
+            if not self.ewma_grid:
+                raise ConfigError("ewma.grid holds no alpha")
+            for alpha in self.ewma_grid:
+                if not 0 < alpha <= 1:
+                    raise ConfigError(f"ewma.grid alpha {alpha} outside (0, 1]")
         for cell in (m for m in self.models if m in RNN_MODELS):
             if not self.rnn_windows:
                 raise ConfigError("rnn.windows must list at least one window")
@@ -310,7 +312,7 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     if synth_params:
-        args["synth_params"] = tuple(sorted(synth_params.items()))
+        args["synth_params"] = tuple(synth_params.items())
     return ExperimentConfig(**args)
 
 

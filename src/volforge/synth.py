@@ -14,6 +14,7 @@ within this implementation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Union
@@ -164,21 +165,42 @@ SOURCE_DEFAULTS = {
 }
 
 
-def build_source(kind: str, params: dict, seed: int):
-    """GBM prices (PriceSeries) or a log-volatility cascade (RVSeries) from
-    the ``synth.*`` config values in ``params``; ``seed`` is the default of
-    their ``seed`` key.  An unknown kind or key is a ConfigError."""
+def coerce_params(kind: str, params: dict) -> dict:
+    """The ``synth.*`` values in ``params`` cast to the types of ``kind``'s
+    defaults, so that 1500 and 1500.0 give one value.  An unknown kind or
+    key, a value that is not a number, or a non-integral value for an
+    integer key is a ConfigError."""
     if kind not in SOURCE_DEFAULTS:
         raise ConfigError(f"unknown synth kind {kind!r}")
-    defaults = {**SOURCE_DEFAULTS[kind], "seed": seed}
+    defaults = {**SOURCE_DEFAULTS[kind], "seed": 0}
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown key synth.{unknown[0]} for synth.kind={kind}, "
                           f"expected one of {sorted(defaults)}")
-    try:
-        p = {k: type(v)(params.get(k, v)) for k, v in defaults.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synth value: {exc}") from exc
+    out = {}
+    for key, value in params.items():
+        if isinstance(value, numbers.Integral):
+            out[key] = type(defaults[key])(value)
+            continue
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad synth value synth.{key} = {value!r}: "
+                              f"not a number") from None
+        if isinstance(defaults[key], int):
+            if not number.is_integer():
+                raise ConfigError(f"synth.{key} must be an integer, got {value!r}")
+            number = int(number)
+        out[key] = number
+    return out
+
+
+def build_source(kind: str, params: dict, seed: int):
+    """GBM prices (PriceSeries) or a log-volatility cascade (RVSeries) from
+    the ``synth.*`` config values in ``params`` (see ``coerce_params``);
+    ``seed`` is the default of their ``seed`` key."""
+    p = coerce_params(kind, params)
+    p = {**SOURCE_DEFAULTS[kind], "seed": seed, **p}
     if kind == "gbm":
         return simulate_gbm(GbmSpec(**p))[0]
     return simulate_log_vol_cascade(**p)

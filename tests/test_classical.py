@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from volforge.classical import (ArimaModel, HarModel, arima_fit, arima_forecast,
-                                arima_order_select, default_har_lag_grid,
-                                ewma_fit, ewma_forecasts, ewma_step, har_design,
-                                har_fit, har_forecast, har_lag_search,
-                                naive_forecast, rolling_forecasts)
+from volforge.classical import (ArimaModel, EwmaModel, HarModel, _css_residuals,
+                                _difference, _pacf_to_coeffs, arima_fit,
+                                arima_forecast, arima_order_select, arima_path,
+                                default_har_lag_grid, ewma_fit, ewma_forecasts,
+                                ewma_path, ewma_step, har_design, har_fit,
+                                har_forecast, har_lag_search, har_path,
+                                naive_forecast, naive_path)
 from volforge.errors import DataError
 from volforge.synth import simulate_log_vol_cascade
 
@@ -259,8 +264,8 @@ class TestDeterminism:
         a1 = arima_fit(rv, (1, 0, 1))
         a2 = arima_fit(rv, (1, 0, 1))
         assert a1 == a2
-        f1 = rolling_forecasts(lambda h: har_forecast(m1, h), rv, 250, 300)
-        f2 = rolling_forecasts(lambda h: har_forecast(m2, h), rv, 250, 300)
+        f1 = har_path(m1, rv, 250, 300)
+        f2 = har_path(m2, rv, 250, 300)
         np.testing.assert_array_equal(f1, f2)
 
 
@@ -274,3 +279,139 @@ class TestDumps:
         model = ArimaModel((1, 0, 1), (0.5,), (0.2,), 0.01, 1.0, -12.0)
         dump = model.dump()
         assert "model=arima" in dump and "order=1,0,1" in dump
+
+
+# ---------------------------------------------------------------------------
+# The one-pass kernels against the per-step loops they replaced, kept here as
+# oracles: every result must be bit-identical (np.array_equal).
+# ---------------------------------------------------------------------------
+
+def css_residuals_loop(z, c, phi, theta):
+    p, q = len(phi), len(theta)
+    n = len(z)
+    a = np.zeros(n)
+    for t in range(p, n):
+        pred = c
+        for i in range(1, p + 1):
+            pred += phi[i - 1] * z[t - i]
+        for j in range(1, min(q, t - p) + 1):
+            pred -= theta[j - 1] * a[t - j]
+        a[t] = z[t] - pred
+    return a[p:]
+
+
+def arima_forecast_loop(model, history):
+    p, d, q = model.order
+    y = np.asarray(history, dtype=float)
+    z = _difference(y, d)
+    phi = np.asarray(model.phi)
+    theta = np.asarray(model.theta)
+    n = len(z)
+    a = np.zeros(n)
+    if n > p:
+        a[p:] = css_residuals_loop(z, model.intercept, phi, theta)
+    pred = model.intercept
+    for i in range(1, p + 1):
+        pred += phi[i - 1] * z[n - i]
+    for j in range(1, q + 1):
+        if n - j >= 0:
+            pred -= theta[j - 1] * a[n - j]
+    for k in range(1, d + 1):
+        pred += (-1) ** (k + 1) * math.comb(d, k) * y[len(y) - k]
+    return float(pred)
+
+
+def har_forecast_loop(model, history):
+    d, w, m = model.lags
+    logs = np.log(np.asarray(history, dtype=float)[-m:])
+    pred = (model.c
+            + model.beta_d * float(np.mean(logs[-d:]))
+            + model.beta_w * float(np.mean(logs[-w:]))
+            + model.beta_m * float(np.mean(logs[-m:])))
+    return float(np.exp(pred))
+
+
+def ewma_forecasts_loop(values, alpha, sigma2_0):
+    values = np.asarray(values, dtype=float)
+    out = np.empty(len(values))
+    sigma2 = sigma2_0
+    for t in range(len(values)):
+        out[t] = math.sqrt(sigma2)
+        sigma2 = ewma_step(sigma2, values[t], alpha)
+    return out
+
+
+# unconstrained draws mapped to stationary / invertible coefficients, as in a fit
+coefficients = st.lists(st.floats(-3.0, 3.0), max_size=3).map(
+    lambda u: _pacf_to_coeffs(np.array(u, dtype=float)))
+series = arrays(np.float64, st.integers(12, 400), elements=st.floats(-100.0, 100.0))
+
+
+class TestKernelsBitExact:
+    @settings(max_examples=150, deadline=None)
+    @given(z=series, c=st.floats(-10.0, 10.0), phi=coefficients, theta=coefficients)
+    def test_css_residuals(self, z, c, phi, theta):
+        assert np.array_equal(_css_residuals(z, c, phi, theta),
+                              css_residuals_loop(z, c, phi, theta), equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(12, 400),
+           d=st.integers(0, 1), phi=coefficients, theta=coefficients,
+           data=st.data())
+    def test_arima_path_matches_per_step_loop(self, seed, n, d, phi, theta, data):
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal(n)
+        if d:
+            y = np.cumsum(y)
+        p, q = len(phi), len(theta)
+        model = ArimaModel((p, d, q), tuple(phi.tolist()), tuple(theta.tolist()),
+                           0.0 if d else float(rng.standard_normal()), 1.0, 0.0)
+        start = data.draw(st.integers(p + d + 1, n - 1))
+        stop = min(n, start + 30)
+        expect = [arima_forecast_loop(model, y[:t]) for t in range(start, stop)]
+        assert np.array_equal(arima_path(model, y, start, stop), expect)
+        assert arima_forecast(model, y[:start]) == expect[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=arrays(np.float64, st.integers(12, 400), elements=st.floats(-1.0, 1.0)),
+           alpha=st.floats(1e-6, 1.0), sigma2_0=st.floats(0.0, 1.0))
+    def test_ewma_forecasts(self, values, alpha, sigma2_0):
+        assert np.array_equal(ewma_forecasts(values, alpha, sigma2_0),
+                              ewma_forecasts_loop(values, alpha, sigma2_0))
+
+    def test_ewma_path_matches_per_step_loop(self):
+        rv = simulate_log_vol_cascade(-0.4, 0.35, 0.3, 0.25, noise_sd=0.3,
+                                      length=300, seed=14).rv
+        model = EwmaModel(0.93, float(np.mean(rv[:200] ** 2)))
+        expect = [ewma_forecasts_loop(rv[:t + 1], model.alpha, model.sigma2_0)[t]
+                  for t in range(200, 300)]
+        assert np.array_equal(ewma_path(model, rv, 200, 300), expect)
+
+    def test_har_path_matches_per_step_loop_on_default_grid(self):
+        rv = simulate_log_vol_cascade(-0.4, 0.35, 0.3, 0.25, noise_sd=0.3,
+                                      length=200, seed=15).rv
+        for lags in default_har_lag_grid():
+            model = har_fit(rv[:150], lags)
+            m = lags[2]
+            expect = [har_forecast_loop(model, rv[:t]) for t in range(m, 200)]
+            assert np.array_equal(har_path(model, rv, m, 200), expect), lags
+
+    def test_naive_path_matches_per_step_loop(self):
+        rv = np.random.default_rng(16).standard_normal(50)
+        assert np.array_equal(naive_path(None, rv, 1, 50),
+                              [float(rv[:t][-1]) for t in range(1, 50)])
+
+    def test_empty_path_window(self):
+        rv = np.full(40, 0.01)
+        model = HarModel((1, 5, 22), 0.0, 1.0, 0.0, 0.0)
+        assert len(har_path(model, rv, 30, 30)) == 0
+        arima = ArimaModel((1, 0, 1), (0.5,), (0.2,), 0.0, 1.0, 0.0)
+        assert len(arima_path(arima, rv, 30, 30)) == 0
+
+    def test_har_path_rejects_non_positive_history(self):
+        rv = np.full(40, 0.01)
+        rv[35] = 0.0
+        model = HarModel((1, 5, 22), 0.0, 1.0, 0.0, 0.0)
+        har_path(model, rv, 22, 36)
+        with pytest.raises(DataError, match="non-positive"):
+            har_path(model, rv, 22, 37)

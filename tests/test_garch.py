@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from volforge.errors import DataError
 from volforge.garch import (GarchModel, garch_fit, garch_forecast,
@@ -50,6 +53,40 @@ class TestVariancePath:
         s2 = variance_path(np.zeros(10), omega, alpha, beta, 0.0, 0.0, sigma2_0=fp)
         np.testing.assert_allclose(s2, fp, rtol=1e-12)
         assert fp < ubar
+
+
+def variance_path_loop(returns, omega, alpha, beta, gamma, mu, sigma2_0=None):
+    """The per-step recursion the one-pass kernel replaced.  It squares with
+    e * e (correctly rounded); the loop it replaced used eps ** 2 on a numpy
+    scalar, which goes through libm pow and can differ in the last bit."""
+    r = np.asarray(returns, dtype=float)
+    eps = r - mu
+    sigma2 = np.empty(len(r))
+    sigma2[0] = float(np.var(r)) if sigma2_0 is None else float(sigma2_0)
+    for t in range(1, len(r)):
+        e = eps[t - 1]
+        shock = alpha + (gamma if e < 0 else 0.0)
+        sigma2[t] = omega + shock * (e * e) + beta * sigma2[t - 1]
+    return sigma2
+
+
+class TestVariancePathBitExact:
+    @settings(max_examples=150, deadline=None)
+    @given(r=arrays(np.float64, st.integers(12, 400), elements=st.floats(-0.1, 0.1))
+           .filter(lambda r: np.var(r) > 0),
+           omega=st.floats(1e-8, 1e-3), alpha=st.floats(0.0, 0.3),
+           beta=st.floats(0.0, 0.69), gamma=st.floats(1e-6, 0.3),
+           mu=st.floats(-0.01, 0.01), seeded=st.booleans())
+    def test_matches_loop(self, r, omega, alpha, beta, gamma, mu, seeded):
+        sigma2_0 = 2e-4 if seeded else None
+        assert np.array_equal(
+            variance_path(r, omega, alpha, beta, gamma, mu, sigma2_0),
+            variance_path_loop(r, omega, alpha, beta, gamma, mu, sigma2_0))
+
+    def test_loglik_seed_defaults_to_sample_variance(self):
+        r = simulate_garch(GarchSimSpec(1e-5, 0.1, 0.85, length=200, seed=4)).returns
+        params = (1e-5, 0.1, 0.85, 0.05, 0.0)
+        assert garch_loglik(params, r) == garch_loglik(params, r, float(np.var(r)))
 
 
 class TestLoglik:

@@ -94,6 +94,19 @@ class TestConfig:
         assert a == b
         assert a.hash() == b.hash()
 
+    def test_synth_values_take_their_default_types(self, tmp_path):
+        a = ExperimentConfig(synth_kind="cascade", synth_params=(("length", 1500),))
+        b = ExperimentConfig(synth_kind="cascade", synth_params=(("length", 1500.0),))
+        c = parse_config(write_config(
+            tmp_path, "synth.kind = cascade\nsynth.noise_sd = 1\nsynth.length = 1500.0\n"))
+        assert a == b and a.hash() == b.hash()
+        assert c.synth_params == (("length", 1500), ("noise_sd", 1.0))
+        assert [type(v) for _, v in c.synth_params] == [int, float]
+
+    def test_non_integral_synth_count_rejected(self):
+        with pytest.raises(ConfigError, match="synth.buckets must be an integer"):
+            ExperimentConfig(synth_params=(("buckets", 2.5),))
+
 
 class TestRunExperiment:
     def small_config(self, models=("naive", "har"), **kw):
@@ -234,6 +247,9 @@ class TestCli:
         "rnn.units = 7\nmodels = lstm\n",
         "synth.lenght = 400\n",
         "synth.length = long\n",
+        "synth.length = 700.5\n",
+        "ewma.grid = 0.5:1.5:0.5\nmodels = ewma\n",
+        "ewma.grid = 0.9:0.1:0.1\nmodels = ewma\n",
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, lines):
         cfg = write_config(tmp_path, CASCADE_CONFIG + lines)
@@ -268,6 +284,16 @@ class TestCli:
                      "--out", str(ing_out)]) == EXIT_OK
         rv = read_rv_csv(ing_out / "rv.csv")
         assert len(rv) == 5
+
+    def test_simulate_non_integral_bucket_count_exit_code(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "data.source = synth\nsynth.kind = gbm\nsynth.buckets = 2.5\n"
+            "synth.steps_per_bucket = 10\nmodels = naive\n", name="sim.cfg")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "synth.buckets must be an integer" in capsys.readouterr().err
+        assert not (out / "prices.csv").exists()
 
     def test_simulate_cascade_rv(self, tmp_path):
         cfg = write_config(
