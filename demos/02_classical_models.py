@@ -6,10 +6,9 @@ Run: python3 demos/02_classical_models.py
 
 import numpy as np
 
-from volforge import (EwmaModel, arima_fit, arima_order_select, arima_path,
-                      ewma_fit, ewma_path, garch_fit, garch_forecast_path,
-                      har_fit, har_path, naive_path)
-from volforge.garch import with_bucket_scale
+from volforge import (EwmaModel, arima_order_select, arima_path, ewma_fit,
+                      ewma_path, garch_fit, garch_forecast_path, har_fit,
+                      har_path, naive_path)
 from volforge.synth import simulate_log_vol_cascade
 
 rv = simulate_log_vol_cascade(-0.4, 0.35, 0.3, 0.25, noise_sd=0.3,
@@ -35,9 +34,8 @@ print(f"har:  c = {har.c:+.3f}, betas = ({har.beta_d:.3f}, "
       f"{har.beta_w:.3f}, {har.beta_m:.3f})")
 forecasts["har"] = har_path(har, rv, start, stop)
 
-order = arima_order_select(train, [(p, 0, q) for p in range(3) for q in range(3)])
-arima = arima_fit(train, order)
-print(f"arima: selected order {order} by AIC")
+arima = arima_order_select(train, [(p, 0, q) for p in range(3) for q in range(3)])
+print(f"arima: selected order {arima.order} by AIC")
 forecasts["arima"] = arima_path(arima, rv, start, stop)
 
 # GARCH runs on per-bucket returns; build a seeded return proxy from rv.
@@ -45,7 +43,7 @@ forecasts["arima"] = arima_path(arima, rv, start, stop)
 # variance path at return index t-1, built from returns up to r[t-2].
 rng = np.random.default_rng(99)
 r = rv[1:] * rng.standard_normal(len(rv) - 1)
-g = with_bucket_scale(garch_fit(r[:start - 1]), 1)
+g = garch_fit(r[:start - 1])
 print(f"garch: omega = {g.omega:.2e}, alpha = {g.alpha:.3f}, beta = {g.beta:.3f}")
 forecasts["garch"] = garch_forecast_path(g, r, start - 1, stop - 1)
 

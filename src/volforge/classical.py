@@ -4,10 +4,9 @@ Every model follows the same contract: a pure ``*_fit`` over the training
 window returning an immutable model value, and a pure
 ``*_path(model, values, start, stop)`` returning, for each t in
 [start, stop), the 1-step-ahead rv forecast from ``values[:t]``, in one pass.
-``*_forecast(model, history)`` is the path's single step at
-t = len(history).  Search procedures (EWMA alpha grid, HAR lag grid) keep a
-complete candidate/metric log so an exhaustive replay can verify the
-returned argmin.
+Every selection search (EWMA alpha grid, HAR lag grid, ARIMA order by AIC)
+runs through ``argmin_search`` and returns its fitted winner with the
+complete candidate/score log, so an exhaustive replay can verify the argmin.
 
 The recursions keep the rounding of the per-step loops they replaced: the
 input terms are computed for the whole array at once in the loop's operation
@@ -17,7 +16,7 @@ order, and only the feedback term runs as a loop, over Python floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,6 +35,32 @@ def _loss(metric: str, actual: np.ndarray, predicted: np.ndarray) -> float:
     raise DataError(f"unknown selection metric {metric!r}, expected MSE or MAE")
 
 
+def argmin_search(candidates, evaluate, failure: str):
+    """The candidate with the lowest score, and the (candidate, score) log.
+
+    ``evaluate(c)`` returns ``(fitted, score)``; the winner's ``fitted`` is
+    returned.  A candidate whose evaluation raises DataError or FitError is
+    logged with score inf.  Ties go to the earlier candidate.  Raises
+    ``FitError(failure)`` when no candidate reaches a finite score.
+    """
+    candidates = list(candidates)
+    if not candidates:
+        raise DataError("no candidates to search")
+    log = []
+    best, best_score = None, math.inf
+    for c in candidates:
+        try:
+            fitted, score = evaluate(c)
+        except (DataError, FitError):
+            fitted, score = None, math.inf
+        log.append((c, score))
+        if score < best_score:
+            best, best_score = fitted, score
+    if best_score == math.inf:
+        raise FitError(failure, diagnostics={"search_log": log})
+    return best, tuple(log)
+
+
 # ---------------------------------------------------------------------------
 # Naive
 # ---------------------------------------------------------------------------
@@ -46,11 +71,6 @@ def naive_path(model, values, start: int, stop: int) -> np.ndarray:
     if start < 1:
         raise DataError("naive forecast needs a non-empty history")
     return np.array(values[start - 1:stop - 1], dtype=float)
-
-
-def naive_forecast(history) -> float:
-    """The forecast for index len(history): one step of ``naive_path``."""
-    return float(naive_path(None, history, len(history), len(history) + 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +139,6 @@ def ewma_fit(train, valid, metric: str = "MSE", grid=None) -> EwmaModel:
     if grid is None:
         grid = np.round(np.arange(0.01, 1.00, 0.01), 2)
     grid = sorted(float(a) for a in grid)
-    if not grid:
-        raise DataError("alpha grid is empty")
     for a in grid:
         if not (0 < a <= 1):
             raise DataError(f"grid alpha {a} outside (0, 1]")
@@ -128,15 +146,12 @@ def ewma_fit(train, valid, metric: str = "MSE", grid=None) -> EwmaModel:
     if sigma2_0 <= 0:
         raise DataError("training rv is identically zero; EWMA undefined")
     full = np.concatenate([train, valid])
-    log = []
-    best_alpha, best_val = None, math.inf
-    for a in grid:
-        fc = ewma_forecasts(full, a, sigma2_0)[len(train):]
-        val = _loss(metric, valid, fc)
-        log.append((a, val))
-        if val < best_val:
-            best_alpha, best_val = a, val
-    return EwmaModel(best_alpha, sigma2_0, search_log=tuple(log))
+
+    def evaluate(a):
+        return a, _loss(metric, valid, ewma_forecasts(full, a, sigma2_0)[len(train):])
+
+    alpha, log = argmin_search(grid, evaluate, "no alpha candidate could be evaluated")
+    return EwmaModel(alpha, sigma2_0, search_log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -245,33 +260,21 @@ def har_lag_search(train, valid, metric: str = "MSE", lag_grid=None) -> HarModel
     """Refit per (d, w, m) candidate, pick the validation-metric argmin.
 
     Ties break toward the lexicographically smallest lag triple.  Candidates
-    whose fit fails (too few rows) are skipped and logged with an inf metric.
+    whose fit fails (too few rows) are logged with an inf metric.
     """
     train = np.asarray(train, dtype=float)
     valid = np.asarray(valid, dtype=float)
     if lag_grid is None:
         lag_grid = default_har_lag_grid()
-    lag_grid = sorted(tuple(l) for l in lag_grid)
-    if not lag_grid:
-        raise DataError("empty HAR lag grid")
     full = np.concatenate([train, valid])
-    log = []
-    best, best_val = None, math.inf
-    for lags in lag_grid:
-        try:
-            model = har_fit(train, lags)
-            fc = har_path(model, full, len(train), len(full))
-            val = _loss(metric, valid, fc)
-        except (DataError, FitError):
-            log.append((lags, math.inf))
-            continue
-        log.append((lags, val))
-        if val < best_val:
-            best, best_val = model, val
-    if best is None:
-        raise FitError("no HAR lag candidate could be fitted")
-    return HarModel(best.lags, best.c, best.beta_d, best.beta_w, best.beta_m,
-                    best.fit_residual_variance, search_log=tuple(log))
+
+    def evaluate(lags):
+        model = har_fit(train, lags)
+        return model, _loss(metric, valid, har_path(model, full, len(train), len(full)))
+
+    best, log = argmin_search(sorted(tuple(l) for l in lag_grid), evaluate,
+                              "no HAR lag candidate could be fitted")
+    return replace(best, search_log=log)
 
 
 def default_har_lag_grid():
@@ -297,6 +300,7 @@ class ArimaModel:
     intercept: float
     innovation_variance: float
     loglik: float
+    search_log: tuple = field(default=(), compare=False)   # (order, AIC) rows
 
     def dump(self) -> str:
         p, d, q = self.order
@@ -478,21 +482,15 @@ def arima_forecast(model: ArimaModel, history) -> float:
     return float(arima_path(model, history, len(history), len(history) + 1)[0])
 
 
-def arima_order_select(train, candidate_orders) -> tuple:
-    """AIC-minimizing order; ties go to fewer parameters, then lexicographic."""
-    candidates = list(candidate_orders)
-    if not candidates:
-        raise DataError("no candidate orders supplied")
-    results = []
-    for order in candidates:
-        try:
-            model = arima_fit(train, order)
-        except (DataError, FitError):
-            continue
-        kk = order[0] + order[2] + 1
-        aic = 2 * kk - 2 * model.loglik
-        results.append((aic, kk, tuple(order)))
-    if not results:
-        raise FitError("every candidate order failed to fit")
-    results.sort()
-    return results[0][2]
+def arima_order_select(train, candidate_orders) -> ArimaModel:
+    """The AIC-minimizing fit on ``train``; ties go to fewer parameters, then
+    the lexicographically smaller order.  Its ``search_log`` holds one
+    (order, AIC) row per candidate, inf for an order that failed to fit."""
+
+    def evaluate(order):
+        model = arima_fit(train, order)
+        return model, 2 * (order[0] + order[2] + 1) - 2 * model.loglik
+
+    orders = sorted((tuple(o) for o in candidate_orders), key=lambda o: (o[0] + o[2], o))
+    best, log = argmin_search(orders, evaluate, "every candidate order failed to fit")
+    return replace(best, search_log=log)

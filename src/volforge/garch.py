@@ -5,13 +5,15 @@ variance MLE (two-step).  Covariance stationarity is enforced through a
 smooth reparameterization: total persistence is a squashed share below 1,
 split between the ARCH, asymmetry and GARCH terms by a softmax, so the
 simplex optimizer runs unconstrained.
+
+Returns are per bucket, so the conditional standard deviation is compared
+with rv directly (M = 1 returns per bucket).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,8 +32,7 @@ class GarchModel:
     gamma: float
     mu: float
     loglik: float
-    flavor: str = "garch"                     # "garch" or "gjr"
-    returns_per_bucket: Optional[int] = None  # M used to bridge to rv units
+    flavor: str = "garch"     # "garch" or "gjr"
 
     def __post_init__(self):
         if self.omega <= 0 or self.alpha < 0 or self.beta < 0:
@@ -165,34 +166,15 @@ def garch_step(model: GarchModel, r_prev: float, sigma2_prev: float) -> float:
     return model.omega + shock * eps * eps + model.beta * sigma2_prev
 
 
-def garch_forecast(model: GarchModel, r_prev: float, sigma2_prev: float) -> float:
-    """1-step rv forecast: sqrt(per-return variance x returns per bucket)."""
-    if model.returns_per_bucket is None:
-        raise DataError("returns_per_bucket (M) not set on the model; "
-                        "set it to 1 for per-bucket return fitting")
-    if sigma2_prev <= 0:
-        raise DataError("sigma2_prev must be positive")
-    sigma2_next = garch_step(model, r_prev, sigma2_prev)
-    return math.sqrt(sigma2_next * model.returns_per_bucket)
-
-
-def with_bucket_scale(model: GarchModel, m: int) -> GarchModel:
-    return GarchModel(model.omega, model.alpha, model.beta, model.gamma,
-                      model.mu, model.loglik, model.flavor, returns_per_bucket=m)
-
-
 def garch_forecast_path(model: GarchModel, returns, start: int, stop: int) -> np.ndarray:
-    """Rolling 1-step rv forecasts sqrt(M * sigma2[t]) for t in [start, stop).
+    """Rolling 1-step rv forecasts sqrt(sigma2[t]) for t in [start, stop).
 
-    sigma2[t] uses returns up to t-1 via the full variance recursion; the
-    recursion is seeded with the variance of the pre-start returns so no
-    future observation leaks into the initialization.
+    sigma2[t] uses returns[:t] only: the variance recursion runs over
+    returns[:stop] and is seeded with the variance of returns[:start].
     """
-    if model.returns_per_bucket is None:
-        raise DataError("returns_per_bucket (M) not set on the model; "
-                        "set it to 1 for per-bucket return fitting")
-    r = np.asarray(returns, dtype=float)
-    sigma2_0 = float(np.var(r[:start])) if start > 1 else None
+    if start < 2:
+        raise DataError(f"GARCH path needs start >= 2 to seed its variance, got {start}")
+    r = np.asarray(returns, dtype=float)[:stop]
     sigma2 = variance_path(r, model.omega, model.alpha, model.beta, model.gamma,
-                           model.mu, sigma2_0=sigma2_0)
-    return np.sqrt(sigma2[start:stop] * model.returns_per_bucket)
+                           model.mu, sigma2_0=float(np.var(r[:start])))
+    return np.sqrt(sigma2[start:stop])

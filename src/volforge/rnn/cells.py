@@ -1,16 +1,14 @@
-"""Gate-level recurrent cells and their weight initialization.
+"""Gate layout of the recurrent cells and their weight initialization.
 
 Both cells operate on the concatenation [h_prev, x] with logistic gates and
 tanh candidates.  The GRU carries no bias terms unless explicitly enabled.
-Single-step functions here accept 1-d or batched 2-d inputs; the layer-level
-batched unroll lives in :mod:`volforge.rnn.network`.
+The batched layer unroll lives in :mod:`volforge.rnn.network`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DataError
 from .config import RnnConfig
 
 LSTM_GATES = ("f", "i", "C", "o")
@@ -19,46 +17,6 @@ GRU_GATES = ("z", "r", "h")
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def _check_concat(h_prev, x_t, w, name):
-    if w.shape[1] != h_prev.shape[-1] + x_t.shape[-1]:
-        raise DataError(
-            f"{name}: weight expects input dim {w.shape[1]}, "
-            f"got h({h_prev.shape[-1]}) + x({x_t.shape[-1]})")
-
-
-def lstm_cell(x_t, h_prev, c_prev, weights, layer=0):
-    """One LSTM step: forget/input/candidate/output gates, returns (h, C)."""
-    p = {g: weights[f"l{layer}.W_{g}"] for g in LSTM_GATES}
-    b = {g: weights[f"l{layer}.b_{g}"] for g in LSTM_GATES}
-    x_t, h_prev, c_prev = (np.atleast_1d(np.asarray(v, dtype=float))
-                           for v in (x_t, h_prev, c_prev))
-    _check_concat(h_prev, x_t, p["f"], "lstm_cell")
-    cat = np.concatenate([h_prev, x_t], axis=-1)
-    f = sigmoid(cat @ p["f"].T + b["f"])
-    i = sigmoid(cat @ p["i"].T + b["i"])
-    c_tilde = np.tanh(cat @ p["C"].T + b["C"])
-    c = f * c_prev + i * c_tilde
-    o = sigmoid(cat @ p["o"].T + b["o"])
-    h = o * np.tanh(c)
-    return h, c
-
-
-def gru_cell(x_t, h_prev, weights, layer=0):
-    """One GRU step: update/reset gates and candidate state, returns h."""
-    w_z, w_r, w_h = (weights[f"l{layer}.W_{g}"] for g in GRU_GATES)
-    x_t, h_prev = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x_t, h_prev))
-    _check_concat(h_prev, x_t, w_z, "gru_cell")
-    cat = np.concatenate([h_prev, x_t], axis=-1)
-    bz = weights.get(f"l{layer}.b_z", 0.0)
-    br = weights.get(f"l{layer}.b_r", 0.0)
-    bh = weights.get(f"l{layer}.b_h", 0.0)
-    z = sigmoid(cat @ w_z.T + bz)
-    r = sigmoid(cat @ w_r.T + br)
-    cat_r = np.concatenate([r * h_prev, x_t], axis=-1)
-    h_tilde = np.tanh(cat_r @ w_h.T + bh)
-    return (1.0 - z) * h_prev + z * h_tilde
 
 
 def layer_input_dim(config: RnnConfig, layer: int) -> int:

@@ -1,19 +1,19 @@
 """Window-size and hyperparameter searches over the validation window.
 
 Candidates are trained independently with the same seed and ranked by their
-rolling 1-step validation metric.  The complete (candidate, metric) log is
-kept on the returned model so the argmin can be replayed exhaustively.
+rolling 1-step validation metric through ``classical.argmin_search``.  The
+complete (candidate, metric) log is kept on the returned model so the argmin
+can be replayed exhaustively.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
-from ..classical import _loss
-from ..errors import DataError, FitError
+from ..classical import _loss, argmin_search
+from ..errors import DataError
 from .config import RnnConfig
 from .training import TrainedRnn, rnn_forecast_path, rnn_train
 
@@ -22,6 +22,14 @@ def validation_metric(model: TrainedRnn, train, valid, metric: str) -> float:
     full = np.concatenate([np.asarray(train, dtype=float), np.asarray(valid, dtype=float)])
     fc = rnn_forecast_path(model, full, len(train), len(full))
     return _loss(metric, valid, fc)
+
+
+def _trained(train, valid, metric):
+    """argmin_search's evaluate: train one config, score it on validation."""
+    def evaluate(config):
+        model = rnn_train(train, config)
+        return model, validation_metric(model, train, valid, metric)
+    return evaluate
 
 
 def window_search(train, valid, base_config: RnnConfig, window_grid=None,
@@ -33,25 +41,10 @@ def window_search(train, valid, base_config: RnnConfig, window_grid=None,
     """
     if window_grid is None:
         window_grid = range(1, 51)
-    grid = sorted(int(w) for w in window_grid)
-    if not grid:
-        raise DataError("empty window grid")
-    log = []
-    best, best_val = None, math.inf
-    for w in grid:
-        try:
-            model = rnn_train(train, replace(base_config, window=w))
-            val = validation_metric(model, train, valid, metric)
-        except (DataError, FitError):
-            log.append((w, math.inf))
-            continue
-        log.append((w, val))
-        if val < best_val:
-            best, best_val = model, val
-    if best is None:
-        raise FitError("every window candidate failed to train")
-    return TrainedRnn(best.config, best.weights, best.scaler,
-                      best.training_loss_curve, search_log=tuple(log))
+    configs = [replace(base_config, window=w) for w in sorted(int(w) for w in window_grid)]
+    best, log = argmin_search(configs, _trained(train, valid, metric),
+                              "every window candidate failed to train")
+    return replace(best, search_log=tuple((cfg.window, val) for cfg, val in log))
 
 
 def hyperparameter_search(train, valid, candidates, metric: str = "MSE",
@@ -62,29 +55,11 @@ def hyperparameter_search(train, valid, candidates, metric: str = "MSE",
     (config, metric) row per evaluated candidate, failures included as inf.
     """
     candidates = list(candidates)
-    if budget is None:
-        budget = len(candidates)
-    if budget <= 0:
+    if budget is not None and budget <= 0:
         raise DataError("search budget must be >= 1")
-    candidates = candidates[:budget]
-    if not candidates:
-        raise DataError("no candidate configurations")
-    log = []
-    best, best_val = None, math.inf
-    for cfg in candidates:
-        try:
-            model = rnn_train(train, cfg)
-            val = validation_metric(model, train, valid, metric)
-        except (DataError, FitError):
-            log.append((cfg, math.inf))
-            continue
-        log.append((cfg, val))
-        if val < best_val:
-            best, best_val = model, val
-    if best is None:
-        raise FitError("every hyperparameter candidate failed to train")
-    return TrainedRnn(best.config, best.weights, best.scaler,
-                      best.training_loss_curve, search_log=tuple(log))
+    best, log = argmin_search(candidates[:budget], _trained(train, valid, metric),
+                              "every hyperparameter candidate failed to train")
+    return replace(best, search_log=log)
 
 
 def search_log_csv(log) -> str:

@@ -101,15 +101,6 @@ def build_supervised_pairs(scaled: np.ndarray, window: int):
     return x, y
 
 
-def fit_scaler(train: np.ndarray) -> MinMaxScaler:
-    """Min-max scaler on the training partition; constant series fall back
-    to a unit band around the constant so training remains defined."""
-    lo, hi = float(np.min(train)), float(np.max(train))
-    if hi == lo:
-        return MinMaxScaler(lo - 0.5, lo + 0.5)
-    return MinMaxScaler(lo, hi)
-
-
 def rnn_train(train, config: RnnConfig, scaler: MinMaxScaler | None = None) -> TrainedRnn:
     """Minimize the configured loss by BPTT over (window -> next) pairs."""
     values = np.asarray(train, dtype=float)
@@ -117,7 +108,7 @@ def rnn_train(train, config: RnnConfig, scaler: MinMaxScaler | None = None) -> T
         raise DataError(
             f"training series of length {len(values)} too short for window {config.window}")
     if scaler is None:
-        scaler = fit_scaler(values)
+        scaler = MinMaxScaler.fit(values)
     scaled = scaler.transform(values)
     x_all, y_all = build_supervised_pairs(scaled, config.window)
     rng = np.random.default_rng(config.seed)

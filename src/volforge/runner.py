@@ -30,8 +30,8 @@ from .errors import ConfigError, DataError, FitError, VolforgeError
 from .evaluation import ForecastRecord, build_report, report_csv, report_text
 from .rnn import RnnConfig, rnn_forecast_path, window_search
 from .rnn.search import search_log_csv
-from .series import (RVSeries, SplitSpec, apply_zero_floor, bucket_label, log_returns,
-                     read_price_csv, realized_volatility, split)
+from .series import (AGGREGATIONS, RVSeries, SplitSpec, apply_zero_floor, bucket_label,
+                     log_returns, read_price_csv, realized_volatility, split)
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +88,14 @@ def _fit_har(config, data, search):
 
 
 def _fit_arima(config, data):
-    order = classical.arima_order_select(data.train, config.arima_orders)
-    model = classical.arima_fit(data.train, order)
-    refit = classical.arima_fit(data.trainval, order)
+    model = classical.arima_order_select(data.train, config.arima_orders)
+    refit = classical.arima_fit(data.trainval, model.order)
     return model, refit, refit.dump(), None
 
 
 def _fit_garch(config, data, flavor):
-    model = garch.with_bucket_scale(garch.garch_fit(data.returns[:data.v_start - 1], flavor), 1)
-    refit = garch.with_bucket_scale(garch.garch_fit(data.returns[:data.v_stop - 1], flavor), 1)
+    model = garch.garch_fit(data.returns[:data.v_start - 1], flavor)
+    refit = garch.garch_fit(data.returns[:data.v_stop - 1], flavor)
     return model, refit, refit.dump() + "returns_per_bucket=1\n", None
 
 
@@ -187,9 +186,16 @@ class ExperimentConfig:
             raise ConfigError("data.source=csv requires data.csv=<path>")
         if self.metric not in ("MSE", "MAE"):
             raise ConfigError("selection.metric must be MSE or MAE")
+        if self.aggregation not in AGGREGATIONS:
+            raise ConfigError(f"data.aggregation must be one of {AGGREGATIONS}, "
+                              f"got {self.aggregation!r}")
+        if self.validation_len < 1 or self.test_len < 1:
+            raise ConfigError("split.validation and split.test must be >= 1")
         if self.synth_params:
             params = synth.coerce_params(self.synth_kind, dict(self.synth_params))
             object.__setattr__(self, "synth_params", tuple(sorted(params.items())))
+        if "har" in self.models and not 0 < self.har_lags[0] < self.har_lags[1] < self.har_lags[2]:
+            raise ConfigError(f"har.lags must satisfy 0 < d < w < m, got {self.har_lags}")
         if "ewma" in self.models:
             if not self.ewma_grid:
                 raise ConfigError("ewma.grid holds no alpha")

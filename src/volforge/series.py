@@ -141,10 +141,12 @@ class MinMaxScaler:
 
     @classmethod
     def fit(cls, train: np.ndarray) -> "MinMaxScaler":
+        """The training range; a constant series gets a unit band around the
+        constant so that training stays defined."""
         train = _as_float_array(train)
         lo, hi = float(np.min(train)), float(np.max(train))
         if hi == lo:
-            raise DataError("cannot fit min-max scaler on a constant series")
+            return cls(lo - 0.5, lo + 0.5)
         return cls(lo, hi)
 
     def transform(self, x):

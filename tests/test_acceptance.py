@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.stats import t as student_t
 
-from volforge.classical import ewma_fit, har_design, har_fit, har_lag_search
+from volforge.classical import (arima_fit, arima_order_select, ewma_fit, har_design,
+                                har_fit, har_lag_search)
 from volforge.evaluation import ForecastRecord, dm_test, var_estimate
 from volforge.garch import garch_fit, garch_loglik
 from volforge.rnn import RnnConfig, rnn_gradient_check
@@ -145,6 +146,16 @@ def test_07_search_argmin_replay():
     hm = har_lag_search(train, valid, "MSE", lag_grid)
     htab = dict(hm.search_log)
     assert hm.lags == min(sorted(htab), key=lambda l: (htab[l], l))
+
+    # arima_order_select: AIC argmin, ties to fewer parameters, then the
+    # smaller order; the returned fit must reproduce its logged AIC exactly
+    orders = [(p, d, q) for d in (1, 0) for p in range(3) for q in range(3)]
+    am = arima_order_select(train, orders)
+    atab = dict(am.search_log)
+    assert set(atab) == set(orders)
+    assert am.order == min(atab, key=lambda o: (atab[o], o[0] + o[2], o))
+    p, _, q = am.order
+    assert 2 * (p + q + 1) - 2 * arima_fit(train, am.order).loglik == atab[am.order]
 
     # window_search: ties to the smaller window; winner must replay exactly
     base = RnnConfig(cell="lstm", units=5, epochs=3, seed=0)

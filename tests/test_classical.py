@@ -11,25 +11,54 @@ from volforge.classical import (ArimaModel, EwmaModel, HarModel, _css_residuals,
                                 arima_forecast, arima_order_select, arima_path,
                                 default_har_lag_grid, ewma_fit, ewma_forecasts,
                                 ewma_path, ewma_step, har_design, har_fit,
-                                har_forecast, har_lag_search, har_path,
-                                naive_forecast, naive_path)
-from volforge.errors import DataError
+                                argmin_search, har_forecast, har_lag_search,
+                                har_path, naive_path)
+from volforge.errors import DataError, FitError
 from volforge.synth import simulate_log_vol_cascade
 
 
 class TestNaive:
     def test_last_element(self):
-        assert naive_forecast([0.1, 0.2, 0.3]) == 0.3
+        assert naive_path(None, [0.1, 0.2, 0.3], 3, 4).tolist() == [0.3]
 
     def test_singleton(self):
-        assert naive_forecast([0.5]) == 0.5
+        assert naive_path(None, [0.5], 1, 2).tolist() == [0.5]
 
     def test_constant(self):
-        assert naive_forecast([0.07] * 10) == 0.07
+        assert naive_path(None, [0.07] * 10, 10, 11).tolist() == [0.07]
 
     def test_empty_errors(self):
         with pytest.raises(DataError):
-            naive_forecast([])
+            naive_path(None, [], 0, 1)
+
+
+class TestArgminSearch:
+    def test_ties_go_to_the_earlier_candidate(self):
+        scores = {"a": 2.0, "b": 1.0, "c": 1.0}
+        best, log = argmin_search("abc", lambda c: (c.upper(), scores[c]), "none")
+        assert best == "B"
+        assert log == (("a", 2.0), ("b", 1.0), ("c", 1.0))
+
+    def test_failures_logged_as_inf(self):
+        def evaluate(c):
+            if c == 2:
+                raise FitError("no fit")
+            if c == 3:
+                raise DataError("too short")
+            return c, float(c)
+        best, log = argmin_search([4, 2, 3, 5], evaluate, "none")
+        assert best == 4
+        assert log == ((4, 4.0), (2, math.inf), (3, math.inf), (5, 5.0))
+
+    def test_no_success_raises_the_callers_message(self):
+        def evaluate(c):
+            raise DataError("too short")
+        with pytest.raises(FitError, match="every candidate failed"):
+            argmin_search([1, 2], evaluate, "every candidate failed")
+
+    def test_empty_candidates(self):
+        with pytest.raises(DataError):
+            argmin_search([], lambda c: (c, 0.0), "none")
 
 
 class TestEwmaStep:
@@ -230,12 +259,12 @@ class TestArima:
 class TestArimaOrderSelect:
     def test_singleton(self):
         y = np.random.default_rng(0).standard_normal(200)
-        assert arima_order_select(y, [(0, 0, 1)]) == (0, 0, 1)
+        assert arima_order_select(y, [(0, 0, 1)]).order == (0, 0, 1)
 
     def test_white_noise_matches_aic_oracle(self):
         y = np.random.default_rng(12).standard_normal(300)
         candidates = [(0, 0, 0), (1, 0, 0)]
-        chosen = arima_order_select(y, candidates)
+        chosen = arima_order_select(y, candidates).order
         # oracle: recompute AIC per candidate from the fitted logliks
         aics = {}
         for order in candidates:
@@ -248,11 +277,19 @@ class TestArimaOrderSelect:
         y = np.zeros(500)
         for t in range(1, 500):
             y[t] = 0.7 * y[t - 1] + rng.standard_normal()
-        assert arima_order_select(y, [(0, 0, 0), (1, 0, 0)]) == (1, 0, 0)
+        assert arima_order_select(y, [(0, 0, 0), (1, 0, 0)]).order == (1, 0, 0)
 
     def test_empty_candidates(self):
         with pytest.raises(DataError):
             arima_order_select(np.zeros(100), [])
+
+    def test_returns_the_winning_fit_and_its_log(self):
+        y = np.random.default_rng(12).standard_normal(60)
+        candidates = [(1, 0, 0), (0, 0, 0), (3, 0, 3)]   # (3, 0, 3) needs 71 points
+        model = arima_order_select(y, candidates)
+        assert model == arima_fit(y, model.order)
+        log = dict(model.search_log)
+        assert set(log) == set(candidates) and log[(3, 0, 3)] == math.inf
 
 
 class TestDeterminism:

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from volforge.errors import DataError
-from volforge.garch import (GarchModel, garch_fit, garch_forecast,
-                            garch_forecast_path, garch_loglik, garch_step,
-                            variance_path, with_bucket_scale)
+from volforge.garch import (GarchModel, garch_fit, garch_forecast_path,
+                            garch_loglik, garch_step, variance_path)
 from volforge.synth import GarchSimSpec, simulate_garch
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -110,28 +109,31 @@ class TestStepAndForecast:
         # 1e-5 + 0.1*0.0004 + 0.8*0.0001
         assert garch_step(m, 0.02, 1e-4) == pytest.approx(1.3e-4, rel=1e-12)
 
-    def test_forecast_rv_units(self):
-        m = GarchModel(1e-5, 0.1, 0.8, 0.0, 0.0, 0.0, returns_per_bucket=39)
-        s2n = garch_step(m, 0.02, 1e-4)
-        assert garch_forecast(m, 0.02, 1e-4) == pytest.approx(math.sqrt(39 * s2n))
-        m1 = with_bucket_scale(m, 1)
-        assert m1.returns_per_bucket == 1
-        assert garch_forecast(m1, 0.02, 1e-4) == pytest.approx(math.sqrt(s2n))
-
-    def test_forecast_requires_bucket_scale(self):
-        m = GarchModel(1e-5, 0.1, 0.8, 0.0, 0.0, 0.0)
-        with pytest.raises(DataError, match="returns_per_bucket"):
-            garch_forecast(m, 0.01, 1e-4)
-
     def test_forecast_path_matches_manual_loop(self):
         r = simulate_garch(GarchSimSpec(1e-5, 0.1, 0.85, length=300, seed=3)).returns
-        m = with_bucket_scale(garch_fit(r[:200]), 1)
+        m = garch_fit(r[:200])
         path = garch_forecast_path(m, r, 200, 300)
         s2 = variance_path(r, m.omega, m.alpha, m.beta, m.gamma, m.mu,
                            sigma2_0=float(np.var(r[:200])))
         for k, t in enumerate(range(200, 300)):
             assert path[k] == pytest.approx(
                 math.sqrt(garch_step(m, r[t - 1], s2[t - 1])), rel=1e-12)
+
+    @pytest.mark.parametrize("start", [2, 5, 100])
+    def test_forecast_path_ignores_returns_from_stop_on(self, start):
+        r = simulate_garch(GarchSimSpec(1e-5, 0.1, 0.85, length=300, seed=3)).returns
+        m = GarchModel(1e-5, 0.1, 0.85, 0.05, 0.0, 0.0, flavor="gjr")
+        stop = start + 20
+        path = garch_forecast_path(m, r, start, stop)
+        later = r.copy()
+        later[stop:] *= -3.0
+        assert garch_forecast_path(m, later, start, stop).tobytes() == path.tobytes()
+
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_forecast_path_needs_two_seed_returns(self, start):
+        m = GarchModel(1e-5, 0.1, 0.85, 0.0, 0.0, 0.0)
+        with pytest.raises(DataError, match="start >= 2"):
+            garch_forecast_path(m, np.full(50, 0.01), start, 10)
 
 
 class TestFit:

@@ -5,92 +5,122 @@ import numpy as np
 import pytest
 
 from volforge.errors import ConfigError, DataError
-from volforge.rnn.cells import (GRU_GATES, LSTM_GATES, gru_cell, init_weights,
-                                lstm_cell, sigmoid)
+from volforge.rnn.cells import GRU_GATES, LSTM_GATES, init_weights
 from volforge.rnn.config import RnnConfig
 from volforge.rnn.network import dump_weights, load_weights, rnn_forward
 from volforge.rnn.search import (hyperparameter_search, search_log_csv,
                                  validation_metric, window_search)
 from volforge.rnn.training import (build_supervised_pairs,
-                                   clip_gradients, fit_scaler, loss_and_grad,
+                                   clip_gradients, loss_and_grad,
                                    rnn_forecast_path, rnn_gradient_check,
                                    rnn_predict, rnn_train)
+from volforge.series import MinMaxScaler
 from volforge.synth import simulate_log_vol_cascade
 
 
-def zero_lstm_weights(units=1, in_dim=1):
-    fan = units + in_dim
-    w = {}
-    for g in LSTM_GATES:
-        w[f"l0.W_{g}"] = np.zeros((units, fan))
-        w[f"l0.b_{g}"] = np.zeros(units)
-    w["head.w"] = np.zeros(units)
+def zero_weights(cell, units=1, in_dim=1):
+    """All gate weights and biases zero; the head reads h unscaled."""
+    w = {f"l0.W_{g}": np.zeros((units, units + in_dim))
+         for g in (LSTM_GATES if cell == "lstm" else GRU_GATES)}
+    if cell == "lstm":
+        w.update({f"l0.b_{g}": np.zeros(units) for g in LSTM_GATES})
+    w["head.w"] = np.ones(units)
     w["head.b"] = np.zeros(1)
     return w
 
 
-def zero_gru_weights(units=1, in_dim=1):
-    w = {f"l0.W_{g}": np.zeros((units, fan))
-         for g in GRU_GATES for fan in (units + in_dim,)}
-    w["head.w"] = np.zeros(units)
-    w["head.b"] = np.zeros(1)
-    return w
+def _sig(v):
+    return 1.0 / (1.0 + math.exp(-v))
+
+
+def _gate(w, name, j, cat):
+    return sum(w[name][j][k] * cat[k] for k in range(len(cat)))
+
+
+def lstm_oracle(xs, w):
+    """Elementwise LSTM unroll from a zero state over scalar inputs, then the
+    linear head: the textbook cell (Hochreiter & Schmidhuber 1997)."""
+    u = len(w["head.w"])
+    h, c = [0.0] * u, [0.0] * u
+    for x in xs:
+        cat = h + [x]
+        f = [_sig(_gate(w, "l0.W_f", j, cat) + w["l0.b_f"][j]) for j in range(u)]
+        i = [_sig(_gate(w, "l0.W_i", j, cat) + w["l0.b_i"][j]) for j in range(u)]
+        ct = [math.tanh(_gate(w, "l0.W_C", j, cat) + w["l0.b_C"][j]) for j in range(u)]
+        o = [_sig(_gate(w, "l0.W_o", j, cat) + w["l0.b_o"][j]) for j in range(u)]
+        c = [f[j] * c[j] + i[j] * ct[j] for j in range(u)]
+        h = [o[j] * math.tanh(c[j]) for j in range(u)]
+    return sum(w["head.w"][j] * h[j] for j in range(u)) + w["head.b"][0]
+
+
+def gru_oracle(xs, w):
+    """Elementwise bias-free GRU unroll from a zero state (Cho et al. 2014),
+    then the linear head."""
+    u = len(w["head.w"])
+    h = [0.0] * u
+    for x in xs:
+        cat = h + [x]
+        z = [_sig(_gate(w, "l0.W_z", j, cat)) for j in range(u)]
+        r = [_sig(_gate(w, "l0.W_r", j, cat)) for j in range(u)]
+        cat_r = [r[j] * h[j] for j in range(u)] + [x]
+        ht = [math.tanh(_gate(w, "l0.W_h", j, cat_r)) for j in range(u)]
+        h = [(1 - z[j]) * h[j] + z[j] * ht[j] for j in range(u)]
+    return sum(w["head.w"][j] * h[j] for j in range(u)) + w["head.b"][0]
+
+
+def forward(cell, xs, w):
+    yhat, _ = rnn_forward(np.asarray(xs, dtype=float), w, RnnConfig(cell=cell, window=len(xs)))
+    return float(yhat)
 
 
 class TestCells:
+    """Gate arithmetic through ``rnn_forward`` over a 3-step unroll."""
+
     def test_lstm_zero_weights_halves_cell_state(self):
-        # all gates sigmoid(0)=0.5, candidate tanh(0)=0: C = 0.5*C_prev,
-        # h = 0.5*tanh(0.5*C_prev); with C_prev=2 this is 0.5*tanh(1)
-        w = zero_lstm_weights()
-        h, c = lstm_cell(np.array([0.7]), np.array([0.0]), np.array([2.0]), w)
-        assert c[0] == pytest.approx(1.0)
-        assert h[0] == pytest.approx(0.5 * math.tanh(1.0), abs=1e-10)
-        assert h[0] == pytest.approx(0.3807970780, abs=1e-9)
+        # every gate sigmoid(0) = 0.5 and the candidate tanh(1) = k, so the
+        # cell state goes k/2, 3k/4, 7k/8 and h = 0.5 tanh(7k/8)
+        w = zero_weights("lstm")
+        w["l0.b_C"] = np.ones(1)
+        k = math.tanh(1.0)
+        assert forward("lstm", [0.7, -0.2, 0.4], w) == pytest.approx(
+            0.5 * math.tanh(0.875 * k), abs=1e-15)
 
     def test_lstm_saturated_forget_gate_keeps_memory(self):
-        w = zero_lstm_weights()
+        # the input gate opens on x = 1 only, so the cell stores tanh(1) once
+        w = zero_weights("lstm")
+        w["l0.W_i"][0, 1] = 100.0
+        w["l0.b_i"] = np.full(1, -50.0)
+        w["l0.b_C"] = np.ones(1)
         w["l0.b_f"] = np.full(1, 50.0)   # forget gate pinned open
-        w["l0.b_i"] = np.full(1, -50.0)  # input gate pinned shut
-        _, c = lstm_cell(np.array([0.3]), np.array([0.1]), np.array([1.7]), w)
-        assert c[0] == pytest.approx(1.7, abs=1e-12)
+        kept = forward("lstm", [1.0, 0.0, 0.0], w)
+        assert kept == pytest.approx(0.5 * math.tanh(math.tanh(1.0)), abs=1e-12)
         w["l0.b_f"] = np.full(1, -50.0)  # forget gate pinned shut
-        _, c = lstm_cell(np.array([0.3]), np.array([0.1]), np.array([1.7]), w)
-        assert abs(c[0]) < 1e-15
+        assert abs(forward("lstm", [1.0, 0.0, 0.0], w)) < 1e-15
 
     def test_lstm_elementwise_oracle(self):
-        cfg = RnnConfig(cell="lstm", units=5, window=4, seed=3)
-        w = init_weights(cfg)
-        x = np.array([0.4])
-        h_prev = np.linspace(-0.2, 0.2, 5)
-        c_prev = np.linspace(0.1, -0.1, 5)
-        h, c = lstm_cell(x, h_prev, c_prev, w)
-        cat = np.concatenate([h_prev, x])
-        for j in range(5):
-            f = 1 / (1 + math.exp(-(w["l0.W_f"][j] @ cat + w["l0.b_f"][j])))
-            i = 1 / (1 + math.exp(-(w["l0.W_i"][j] @ cat + w["l0.b_i"][j])))
-            ct = math.tanh(w["l0.W_C"][j] @ cat + w["l0.b_C"][j])
-            o = 1 / (1 + math.exp(-(w["l0.W_o"][j] @ cat + w["l0.b_o"][j])))
-            cj = f * c_prev[j] + i * ct
-            assert c[j] == pytest.approx(cj, abs=1e-12)
-            assert h[j] == pytest.approx(o * math.tanh(cj), abs=1e-12)
+        w = init_weights(RnnConfig(cell="lstm", units=5, window=3, seed=3))
+        w["head.b"] = np.array([0.1])
+        windows = np.array([[0.4, -0.3, 0.9], [0.0, 0.5, 0.2]])
+        yhat, _ = rnn_forward(windows, w, RnnConfig(cell="lstm", units=5, window=3))
+        for got, xs in zip(yhat, windows):
+            assert got == pytest.approx(lstm_oracle(list(xs), w), abs=1e-12)
 
     def test_gru_zero_weights_halfway_between(self):
-        # z=0.5, candidate tanh(0)=0: h = 0.5*h_prev
-        w = zero_gru_weights()
-        h = gru_cell(np.array([0.9]), np.array([0.6]), w)
-        assert h[0] == pytest.approx(0.3, abs=1e-12)
+        # z = 0.5 and the candidate is tanh(2 x): h moves halfway to it each step
+        w = zero_weights("gru")
+        w["l0.W_h"][0, 1] = 2.0
+        xs = [0.9, -0.3, 0.5]
+        h = 0.0
+        for x in xs:
+            h = 0.5 * h + 0.5 * math.tanh(2.0 * x)
+        assert forward("gru", xs, w) == pytest.approx(h, abs=1e-15)
 
     def test_gru_elementwise_oracle(self):
-        cfg = RnnConfig(cell="gru", units=5, window=4, seed=4)
-        w = init_weights(cfg)
-        x = np.array([0.4])
-        h_prev = np.linspace(-0.2, 0.2, 5)
-        h = gru_cell(x, h_prev, w)
-        cat = np.concatenate([h_prev, x])
-        z = sigmoid(w["l0.W_z"] @ cat)
-        r = sigmoid(w["l0.W_r"] @ cat)
-        ht = np.tanh(w["l0.W_h"] @ np.concatenate([r * h_prev, x]))
-        np.testing.assert_allclose(h, (1 - z) * h_prev + z * ht, atol=1e-12)
+        w = init_weights(RnnConfig(cell="gru", units=5, window=3, seed=4))
+        windows = np.array([[0.4, -0.3, 0.9], [0.0, 0.5, 0.2]])
+        yhat, _ = rnn_forward(windows, w, RnnConfig(cell="gru", units=5, window=3))
+        for got, xs in zip(yhat, windows):
+            assert got == pytest.approx(gru_oracle(list(xs), w), abs=1e-12)
 
     def test_gru_default_has_no_bias_tensors(self):
         w = init_weights(RnnConfig(cell="gru", units=5))
@@ -109,11 +139,6 @@ class TestCells:
         bound = 1.0 / math.sqrt(20 + 1)
         for g in LSTM_GATES:
             assert np.all(np.abs(w[f"l0.W_{g}"]) <= bound)
-
-    def test_dimension_mismatch_raises(self):
-        w = zero_lstm_weights(units=1, in_dim=1)
-        with pytest.raises(DataError, match="dim"):
-            lstm_cell(np.array([0.1, 0.2]), np.array([0.0]), np.array([0.0]), w)
 
 
 class TestConfig:
@@ -137,7 +162,7 @@ class TestConfig:
 class TestForward:
     def test_zero_weights_output_is_head_bias(self):
         cfg = RnnConfig(cell="lstm", units=5, window=3, seed=0)
-        w = zero_lstm_weights(units=5)
+        w = zero_weights("lstm", units=5)
         w["head.b"] = np.array([0.42])
         yhat, _ = rnn_forward(np.array([0.1, 0.2, 0.3]), w, cfg)
         assert yhat == pytest.approx(0.42)
@@ -269,7 +294,7 @@ class TestTraining:
         assert model.scaler.transform(np.max(data)) == pytest.approx(1.0)
 
     def test_constant_scaler_fallback_band(self):
-        s = fit_scaler(np.full(10, 0.3))
+        s = MinMaxScaler.fit(np.full(10, 0.3))
         assert s.transform(0.3) == pytest.approx(0.5)
 
     def test_forecast_path_matches_predict(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volforge import classical
 from volforge.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MODEL, EXIT_OK, main
 from volforge.errors import ConfigError
 from volforge.evaluation import ForecastRecord
@@ -180,6 +181,19 @@ class TestRunExperiment:
         assert "param.har.model=har" in text
         assert "timing.naive=" in text
 
+    def test_arima_fits_each_candidate_once_and_refits_once(self, monkeypatch):
+        calls = []
+        fit = classical.arima_fit
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(classical, "arima_fit", counting)
+        orders = ((0, 0, 1), (1, 0, 0), (1, 1, 1))
+        run_experiment(self.small_config(models=("arima",), arima_orders=orders))
+        assert len(calls) == len(orders) + 1
+
     def test_gbm_source_with_garch(self):
         cfg = ExperimentConfig(
             source="synth", synth_kind="gbm",
@@ -250,6 +264,9 @@ class TestCli:
         "synth.length = 700.5\n",
         "ewma.grid = 0.5:1.5:0.5\nmodels = ewma\n",
         "ewma.grid = 0.9:0.1:0.1\nmodels = ewma\n",
+        "split.validation = 0\n",
+        "data.aggregation = week\n",
+        "har.lags = 5,1,22\nmodels = har\n",
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, lines):
         cfg = write_config(tmp_path, CASCADE_CONFIG + lines)

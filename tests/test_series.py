@@ -163,10 +163,6 @@ class TestMinMaxScaler:
         s = MinMaxScaler.fit(np.array([2.0, 4.0, 6.0]))
         assert s.transform(8.0) == pytest.approx(1.5)
 
-    def test_constant_series_rejected(self):
-        with pytest.raises(DataError):
-            MinMaxScaler.fit(np.array([3.0, 3.0]))
-
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=40).filter(
         lambda xs: max(xs) > min(xs)))
     @settings(max_examples=50, deadline=None)
