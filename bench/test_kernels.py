@@ -1,4 +1,4 @@
-"""Microbenchmarks of the classical forecasting kernels.
+"""Microbenchmarks of the ingest and classical forecasting kernels.
 
 Run from the repository root with ``PYTHONPATH=src python -m pytest bench
 --benchmark-only`` (pytest-benchmark).  The default ``pytest`` run does not
@@ -11,7 +11,8 @@ import pytest
 from volforge.classical import (ArimaModel, _css_residuals, _pacf_to_coeffs, arima_path,
                                 ewma_forecasts, har_fit, har_path)
 from volforge.garch import variance_path
-from volforge.synth import simulate_log_vol_cascade
+from volforge.series import log_returns, realized_volatility
+from volforge.synth import GbmSpec, simulate_gbm, simulate_log_vol_cascade
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +20,17 @@ def rv():
     """A 3000-point log-volatility cascade, the acceptance-08 length."""
     return simulate_log_vol_cascade(-0.4, 0.35, 0.3, 0.25, noise_sd=0.3,
                                     length=3000, seed=0).rv
+
+
+# 250 days of 390 bars (the ingest_csv workload) by day; 600 buckets of 26
+# bars (the rnn_gbm workload) by hour
+@pytest.mark.parametrize("buckets,bars,aggregation",
+                         [(250, 390, "day"), (600, 26, "hour")], ids=["day", "hour"])
+def test_realized_volatility(benchmark, buckets, bars, aggregation):
+    prices, _ = simulate_gbm(GbmSpec(buckets=buckets, steps_per_bucket=bars, seed=0))
+    returns = log_returns(prices)
+    rv = benchmark(realized_volatility, returns, aggregation)
+    assert len(rv) >= buckets
 
 
 @pytest.mark.parametrize("n", [50, 3000])

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DataError, FitError
 from ..series import MinMaxScaler
@@ -95,10 +96,7 @@ def build_supervised_pairs(scaled: np.ndarray, window: int):
     n = len(scaled)
     if n <= window:
         raise DataError(f"series of length {n} too short for window {window}")
-    idx = np.arange(window, n)
-    x = np.stack([scaled[i - window:i] for i in idx])
-    y = scaled[idx]
-    return x, y
+    return sliding_window_view(scaled, window)[:n - window], scaled[window:]
 
 
 def rnn_train(train, config: RnnConfig, scaler: MinMaxScaler | None = None) -> TrainedRnn:
@@ -157,7 +155,7 @@ def rnn_forecast_path(model: TrainedRnn, values, start: int, stop: int) -> np.nd
     if start < w:
         raise DataError(f"start index {start} smaller than window {w}")
     scaled = model.scaler.transform(values)
-    windows = np.stack([scaled[t - w:t] for t in range(start, stop)])
+    windows = sliding_window_view(scaled, w)[start - w:stop - w]
     yhat, _ = rnn_forward(windows, model.weights, model.config)
     return model.scaler.invert(yhat)
 

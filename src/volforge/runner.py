@@ -30,7 +30,7 @@ from .errors import ConfigError, DataError, FitError, VolforgeError
 from .evaluation import ForecastRecord, build_report, report_csv, report_text
 from .rnn import RnnConfig, rnn_forecast_path, window_search
 from .rnn.search import search_log_csv
-from .series import (AGGREGATIONS, RVSeries, SplitSpec, apply_zero_floor, bucket_label,
+from .series import (AGGREGATIONS, RVSeries, SplitSpec, apply_zero_floor, calendar_buckets,
                      log_returns, read_price_csv, realized_volatility, split)
 
 
@@ -194,8 +194,16 @@ class ExperimentConfig:
         if self.synth_params:
             params = synth.coerce_params(self.synth_kind, dict(self.synth_params))
             object.__setattr__(self, "synth_params", tuple(sorted(params.items())))
-        if "har" in self.models and not 0 < self.har_lags[0] < self.har_lags[1] < self.har_lags[2]:
-            raise ConfigError(f"har.lags must satisfy 0 < d < w < m, got {self.har_lags}")
+        lag_triples = [("har.lags", self.har_lags)] if "har" in self.models else []
+        if "har_opt" in self.models:
+            lag_triples += [("har.grid", lags) for lags in self.har_grid]
+        for key, (d, w, m) in lag_triples:
+            if not 0 < d < w < m:
+                raise ConfigError(f"{key} must satisfy 0 < d < w < m, got {(d, w, m)}")
+        if "arima" in self.models:
+            for order in self.arima_orders:
+                if min(order) < 0:
+                    raise ConfigError(f"arima.orders holds {order}, a negative order")
         if "ewma" in self.models:
             if not self.ewma_grid:
                 raise ConfigError("ewma.grid holds no alpha")
@@ -337,19 +345,11 @@ def _load_data(config: ExperimentConfig):
         if isinstance(source, RVSeries):
             rng = np.random.default_rng(int(params.get("seed", config.seed)) + 7)
             return source, source.rv[1:] * rng.standard_normal(len(source) - 1)
-    rv = realized_volatility(log_returns(source), config.aggregation)
-    closes = _bucket_closes(source, config.aggregation, rv.period_labels)
-    return rv, np.diff(np.log(closes))
-
-
-def _bucket_closes(prices, aggregation, labels):
-    closes = {}
-    for t, p in zip(prices.timestamps, prices.prices):
-        closes[bucket_label(int(t), aggregation)] = p
-    missing = [l for l in labels if l not in closes]
-    if missing:
-        raise DataError(f"no closing price for buckets {missing[:3]}")
-    return np.array([closes[l] for l in labels])
+    returns = log_returns(source)
+    rv = realized_volatility(returns, config.aggregation)
+    _, edges = calendar_buckets(returns.timestamps, config.aggregation)
+    # the last return of bucket k ends at price edges[k + 1]
+    return rv, np.diff(np.log(source.prices[edges[1:]]))
 
 
 @dataclass(frozen=True)

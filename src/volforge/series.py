@@ -18,7 +18,11 @@ import numpy as np
 
 from .errors import DataError
 
-AGGREGATIONS = ("hour", "day", "month")
+# aggregation -> datetime64 unit of its calendar bucket
+_BUCKET_UNITS = {"hour": "h", "day": "D", "month": "M"}
+AGGREGATIONS = tuple(_BUCKET_UNITS)
+# the four-digit years: epoch seconds from 0001-01-01 up to 10000-01-01 (UTC)
+_FIRST_SECOND, _END_SECOND = -62135596800, 253402300800
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -27,15 +31,10 @@ def _as_float_array(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Strictly positive prices on strictly increasing timestamps.
-
-    ``timestamps`` are epoch seconds (UTC); ``base_frequency`` is the declared
-    bar interval in seconds (metadata only, buckets are calendar based).
-    """
+    """Strictly positive prices on strictly increasing UTC epoch seconds."""
 
     timestamps: np.ndarray
     prices: np.ndarray
-    base_frequency: float = 60.0
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=np.int64)
@@ -162,43 +161,30 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
     return ReturnSeries(prices.timestamps[1:], r)
 
 
-def bucket_label(epoch_seconds: int, aggregation: str) -> str:
-    """Calendar bucket identifier (UTC) for a timestamp."""
-    dt = datetime.fromtimestamp(int(epoch_seconds), tz=timezone.utc)
-    if aggregation == "day":
-        return dt.strftime("%Y-%m-%d")
-    if aggregation == "hour":
-        return dt.strftime("%Y-%m-%dT%H")
-    if aggregation == "month":
-        return dt.strftime("%Y-%m")
-    raise DataError(f"unknown aggregation {aggregation!r}, expected one of {AGGREGATIONS}")
+def calendar_buckets(timestamps, aggregation: str):
+    """``(labels, edges)`` of the UTC calendar buckets of epoch seconds: a bucket
+    starts wherever the timestamp's floor changes, holds indices ``[edges[k],
+    edges[k + 1])`` and is labelled ``YYYY-MM-DDTHH``, ``YYYY-MM-DD`` or ``YYYY-MM``.
+    Timestamps outside 0001-01-01..9999-12-31 are a DataError."""
+    if aggregation not in _BUCKET_UNITS:
+        raise DataError(f"unknown aggregation {aggregation!r}, expected one of {AGGREGATIONS}")
+    ts = np.asarray(timestamps, dtype=np.int64)
+    if len(ts) and not (_FIRST_SECOND <= ts.min() and ts.max() < _END_SECOND):
+        raise DataError(f"timestamps {ts.min()}..{ts.max()} fall outside the years 0001-9999")
+    floors = ts.astype("datetime64[s]").astype(f"datetime64[{_BUCKET_UNITS[aggregation]}]")
+    first = np.ones(len(ts), dtype=bool)
+    first[1:] = floors[1:] != floors[:-1]
+    edges = np.append(np.flatnonzero(first), len(ts))
+    return tuple(np.datetime_as_string(floors[edges[:-1]]).tolist()), edges
 
 
-def realized_volatility(returns: ReturnSeries, aggregation: str,
-                        min_returns: int = 1) -> RVSeries:
-    """Per-bucket sqrt of summed squared returns.
-
-    Buckets with fewer than ``min_returns`` observations are dropped; partial
-    leading or trailing buckets that meet the threshold are kept.
-    """
-    if len(returns) == 0:
-        raise DataError("cannot aggregate an empty return series")
-    labels = [bucket_label(t, aggregation) for t in returns.timestamps]
-    out_labels, out_rv = [], []
-    i = 0
-    n = len(labels)
-    while i < n:
-        j = i
-        while j < n and labels[j] == labels[i]:
-            j += 1
-        if j - i >= min_returns:
-            seg = returns.returns[i:j]
-            out_labels.append(labels[i])
-            out_rv.append(math.sqrt(float(np.sum(seg * seg))))
-        i = j
-    if not out_labels:
-        raise DataError("all buckets dropped by min_returns filter")
-    return RVSeries(tuple(out_labels), np.array(out_rv), aggregation)
+def realized_volatility(returns: ReturnSeries, aggregation: str) -> RVSeries:
+    """Sqrt of summed squared returns per :func:`calendar_buckets` bucket."""
+    labels, edges = calendar_buckets(returns.timestamps, aggregation)
+    squares = returns.returns * returns.returns
+    # one sum per bucket slice: np.add.reduceat would reorder the additions
+    sums = [squares[a:b].sum() for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())]
+    return RVSeries(labels, np.sqrt(sums), aggregation)
 
 
 def aggregate_log_rv(rv: np.ndarray, n: int) -> np.ndarray:

@@ -16,15 +16,16 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Union
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .series import PriceSeries, ReturnSeries, RVSeries, log_returns, realized_volatility
+from .series import (PriceSeries, ReturnSeries, RVSeries, calendar_buckets, log_returns,
+                     realized_volatility)
 
-_EPOCH0 = int(datetime(2020, 1, 1, tzinfo=timezone.utc).timestamp())
+_EPOCH0 = 1577836800                # 2020-01-01T00:00Z
+_CASCADE_EPOCH0 = 1262304000        # 2010-01-01T00:00Z
 _DAY = 86400
 
 
@@ -86,7 +87,7 @@ def simulate_gbm(spec: GbmSpec):
     ts[0] = _EPOCH0
     k = np.arange(n)
     ts[1:] = _EPOCH0 + (k // m + 1) * _DAY + (k % m + 1) * delta
-    prices = PriceSeries(ts, np.exp(logp), base_frequency=float(delta))
+    prices = PriceSeries(ts, np.exp(logp))
     iv = spec.sigma_per_bucket() ** 2 * m * spec.dt
     return prices, iv
 
@@ -149,10 +150,7 @@ def simulate_log_vol_cascade(c, beta_d, beta_w, beta_m, lags=(1, 5, 22),
         lrv[t] = (c + beta_d * np.mean(window[-d:]) + beta_w * np.mean(window[-w:])
                   + beta_m * np.mean(window) + eps[t - m])
     vals = np.exp(lrv[m + burn_in:])
-    start = datetime(2010, 1, 1, tzinfo=timezone.utc).timestamp()
-    labels = tuple(
-        datetime.fromtimestamp(start + i * _DAY, tz=timezone.utc).strftime("%Y-%m-%d")
-        for i in range(length))
+    labels, _ = calendar_buckets(_CASCADE_EPOCH0 + _DAY * np.arange(length), "day")
     return RVSeries(labels, vals, "day")
 
 
@@ -219,8 +217,6 @@ def rv_consistency_probe(spec: GbmSpec, frequencies) -> list:
                       spec.buckets, spec.seed)
         prices, iv = simulate_gbm(sub)
         rv = realized_volatility(log_returns(prices), "day")
-        if len(rv) != len(iv):
-            raise DataError("bucket mismatch between simulated RV and IV")
         degenerate = bool(np.any(iv == 0))
         if degenerate:
             err = math.nan

@@ -1,19 +1,20 @@
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volforge import classical
+from volforge import classical, runner
 from volforge.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MODEL, EXIT_OK, main
 from volforge.errors import ConfigError
 from volforge.evaluation import ForecastRecord
 from volforge.runner import (ALL_MODELS, MODELS, Data, ExperimentConfig,
                              config_from_mapping, emit_plot_data, parse_config,
                              run_experiment)
-from volforge.series import read_rv_csv
-from volforge.synth import simulate_log_vol_cascade
+from volforge.series import PriceSeries, read_rv_csv, write_price_csv
+from volforge.synth import GbmSpec, simulate_gbm, simulate_log_vol_cascade
 
 CASCADE_CONFIG = """
 data.source = synth
@@ -206,6 +207,33 @@ class TestRunExperiment:
             assert math.isfinite(row.mse)
 
 
+def dict_bucket_closes(prices, aggregation, labels):
+    """Oracle: one strftime label per price; the last price of a label wins."""
+    fmt = {"hour": "%Y-%m-%dT%H", "day": "%Y-%m-%d", "month": "%Y-%m"}[aggregation]
+    closes = {}
+    for t, p in zip(prices.timestamps, prices.prices):
+        closes[datetime.fromtimestamp(int(t), tz=timezone.utc).strftime(fmt)] = p
+    return np.array([closes[l] for l in labels])
+
+
+class TestBucketReturns:
+    @pytest.mark.parametrize("aggregation", ["hour", "day", "month"])
+    @pytest.mark.parametrize("gaps", ["gbm", "irregular"])
+    def test_match_dict_oracle(self, tmp_path, aggregation, gaps):
+        prices, _ = simulate_gbm(GbmSpec(buckets=70, steps_per_bucket=39, seed=4))
+        if gaps == "irregular":
+            rng = np.random.default_rng(4)
+            # from 2024-01-31T23:50Z, gaps up to three days: crosses Feb 29
+            ts = 1706745000 + np.cumsum(rng.integers(1, 3 * 86400, size=len(prices)))
+            prices = PriceSeries(ts, prices.prices)
+        path = tmp_path / "prices.csv"
+        write_price_csv(prices, path)
+        cfg = ExperimentConfig(source="csv", csv_path=str(path), aggregation=aggregation)
+        rv, bucket_returns = runner._load_data(cfg)
+        closes = dict_bucket_closes(prices, aggregation, rv.period_labels)
+        assert bucket_returns.tobytes() == np.diff(np.log(closes)).tobytes()
+
+
 class TestPlotData:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -267,6 +295,8 @@ class TestCli:
         "split.validation = 0\n",
         "data.aggregation = week\n",
         "har.lags = 5,1,22\nmodels = har\n",
+        "har.grid = 5,1,22;9,4,30\nmodels = har_opt\n",
+        "arima.orders = -1,0,0\nmodels = arima\n",
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, lines):
         cfg = write_config(tmp_path, CASCADE_CONFIG + lines)
@@ -281,6 +311,13 @@ class TestCli:
         code = main(["run", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    def test_out_of_range_timestamp_exit_code(self, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_text("timestamp,price\n1000000000000,100.0\n1000000000060,101.0\n")
+        cfg = write_config(tmp_path, f"data.source = csv\ndata.csv = {prices}\n")
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert "0001-9999" in capsys.readouterr().err
 
     def test_simulate_then_ingest(self, tmp_path, capsys):
         sim_cfg = write_config(

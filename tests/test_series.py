@@ -1,4 +1,6 @@
+import itertools
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from volforge.errors import DataError
 from volforge.series import (MinMaxScaler, PriceSeries, ReturnSeries, RVSeries,
                              SplitSpec, aggregate_log_rv, apply_zero_floor,
-                             log_returns, read_price_csv, read_rv_csv,
-                             realized_volatility, split, write_rv_csv)
+                             calendar_buckets, log_returns, read_price_csv,
+                             read_rv_csv, realized_volatility, split, write_rv_csv)
 
 DAY = 86400
 
@@ -82,12 +84,6 @@ class TestRealizedVolatility:
         assert rv.rv[0] == pytest.approx(math.sqrt(2 * 0.01 ** 2))
         assert rv.rv[1] == pytest.approx(math.sqrt(2 * 0.02 ** 2))
 
-    def test_min_returns_drops_thin_buckets(self):
-        ts = np.array([100, 200, DAY + 100], dtype=np.int64)
-        r = ReturnSeries(ts, np.array([0.01, 0.01, 0.02]))
-        rv = realized_volatility(r, "day", min_returns=2)
-        assert len(rv) == 1
-
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
             ReturnSeries(np.array([], dtype=np.int64), np.array([]))
@@ -105,6 +101,70 @@ class TestRealizedVolatility:
         scaled = realized_volatility(make_returns([c * r for r in rets]), "day").rv[0]
         assert base == pytest.approx(perm, rel=1e-12, abs=1e-15)
         assert scaled == pytest.approx(c * base, rel=1e-9, abs=1e-12)
+
+
+LABEL_FORMATS = {"hour": "%Y-%m-%dT%H", "day": "%Y-%m-%d", "month": "%Y-%m"}
+
+
+def strftime_rv(ts, r, aggregation):
+    """Oracle: each bar labelled by strftime, np.sum over each run of equal labels."""
+    labels = [datetime.fromtimestamp(int(t), tz=timezone.utc).strftime(LABEL_FORMATS[aggregation])
+              for t in ts]
+    out_labels, out_rv, i = [], [], 0
+    for label, run in itertools.groupby(labels):
+        j = i + len(list(run))
+        seg = r[i:j]
+        out_labels.append(label)
+        out_rv.append(math.sqrt(float(np.sum(seg * seg))))
+        i = j
+    return tuple(out_labels), np.array(out_rv)
+
+
+def utc(*args):
+    return int(datetime(*args, tzinfo=timezone.utc).timestamp())
+
+
+# just before an hour, a day, a month, a year, a Feb 29 and the epoch
+BOUNDARY_STARTS = (utc(2021, 3, 9, 13, 59), utc(2021, 6, 30, 23, 58), utc(2021, 1, 31, 23),
+                   utc(1999, 12, 31, 23, 30), utc(2024, 2, 28, 23), utc(2000, 2, 28, 12),
+                   utc(1969, 12, 31, 23, 59))
+
+
+class TestCalendarBuckets:
+    @pytest.mark.parametrize("aggregation", ["hour", "day", "month"])
+    @given(start=st.sampled_from(BOUNDARY_STARTS),
+           gaps=st.lists(st.one_of(st.integers(1, 120), st.integers(1, 2 * 3600),
+                                   st.integers(1, 40 * DAY)), min_size=1, max_size=80),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_strftime_oracle(self, aggregation, start, gaps, data):
+        ts = start + np.cumsum(np.array(gaps, dtype=np.int64))
+        r = np.array(data.draw(st.lists(st.floats(-0.1, 0.1), min_size=len(ts),
+                                        max_size=len(ts))))
+        labels, expected = strftime_rv(ts, r, aggregation)
+        rv = realized_volatility(ReturnSeries(ts, r), aggregation)
+        assert rv.period_labels == labels
+        assert rv.rv.tobytes() == expected.tobytes()
+
+    def test_edges_delimit_buckets(self):
+        ts = [utc(2024, 2, 28, 23, 59), utc(2024, 2, 29, 0, 1), utc(2024, 2, 29, 5), utc(2024, 3, 1)]
+        labels, edges = calendar_buckets(ts, "day")
+        assert labels == ("2024-02-28", "2024-02-29", "2024-03-01")
+        assert edges.tolist() == [0, 1, 3, 4]
+        assert calendar_buckets([], "month")[0] == ()
+
+    def test_four_digit_years(self):
+        ts = [utc(999, 6, 15, 12, 30), utc(1, 1, 1), utc(9999, 12, 31, 23, 59, 59)]
+        assert calendar_buckets(ts[:1], "hour")[0] == ("0999-06-15T12",)
+        assert calendar_buckets(ts[:1], "day")[0] == ("0999-06-15",)
+        assert calendar_buckets(ts[:1], "month")[0] == ("0999-06",)
+        assert calendar_buckets(sorted(ts), "day")[0] == ("0001-01-01", "0999-06-15", "9999-12-31")
+
+    @pytest.mark.parametrize("t", [utc(1, 1, 1) - 1, utc(9999, 12, 31, 23, 59, 59) + 1,
+                                   1000000000000])
+    def test_out_of_range_timestamp_rejected(self, t):
+        with pytest.raises(DataError, match="0001-9999"):
+            realized_volatility(ReturnSeries([utc(2020, 1, 1), t], [0.01, 0.02]), "day")
 
 
 class TestAggregateLogRv:
