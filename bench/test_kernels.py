@@ -1,4 +1,4 @@
-"""Microbenchmarks of the ingest and classical forecasting kernels.
+"""Microbenchmarks of the ingest, classical and recurrent forecasting kernels.
 
 Run from the repository root with ``PYTHONPATH=src python -m pytest bench
 --benchmark-only`` (pytest-benchmark).  The default ``pytest`` run does not
@@ -11,6 +11,7 @@ import pytest
 from volforge.classical import (ArimaModel, _css_residuals, _pacf_to_coeffs, arima_path,
                                 ewma_forecasts, har_fit, har_path)
 from volforge.garch import variance_path
+from volforge.rnn import RnnConfig, init_weights, rnn_backward, rnn_forward
 from volforge.series import log_returns, realized_volatility
 from volforge.synth import GbmSpec, simulate_gbm, simulate_log_vol_cascade
 
@@ -65,3 +66,26 @@ def test_arima_path(benchmark, rv):
     model = ArimaModel((1, 0, 1), (0.9,), (-0.4,), 0.001, 1e-5, 0.0)
     fc = benchmark(arima_path, model, rv, 2, 3000)
     assert len(fc) == 2998
+
+
+# one training batch of the default shape (B = 32, u = 10) at short, default
+# and maximal windows
+@pytest.mark.parametrize("window", [5, 22, 50])
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_rnn_forward(benchmark, cell, window):
+    cfg = RnnConfig(cell=cell, window=window, units=10, seed=0)
+    w = init_weights(cfg)
+    x = np.random.default_rng(0).uniform(size=(32, window))
+    yhat, _ = benchmark(rnn_forward, x, w, cfg)
+    assert yhat.shape == (32,)
+
+
+@pytest.mark.parametrize("window", [5, 22, 50])
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_rnn_backward(benchmark, cell, window):
+    cfg = RnnConfig(cell=cell, window=window, units=10, seed=0)
+    w = init_weights(cfg)
+    x = np.random.default_rng(0).uniform(size=(32, window))
+    _, cache = rnn_forward(x, w, cfg)
+    grads = benchmark(rnn_backward, np.full(32, 1.0 / 32), cache, w, cfg)
+    assert set(grads) == set(w)

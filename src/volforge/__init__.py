@@ -14,8 +14,8 @@ from .series import (MinMaxScaler, PriceSeries, ReturnSeries, RVSeries, SplitSpe
                      read_price_csv, realized_volatility, split, write_rv_csv)
 from .classical import (ArimaModel, EwmaModel, HarModel, arima_fit, arima_forecast,
                         arima_order_select, arima_path, ewma_fit, ewma_forecasts,
-                        ewma_path, ewma_step, har_fit, har_forecast, har_lag_search,
-                        har_path, naive_path)
+                        ewma_path, har_fit, har_forecast, har_lag_search, har_path,
+                        naive_path)
 from .garch import GarchModel, garch_fit, garch_forecast_path, garch_loglik
 from .evaluation import (DmResult, EvalReport, ForecastRecord, build_report,
                          dm_test, point_metrics, var_estimate)

@@ -93,20 +93,13 @@ class EwmaModel:
         return f"model=ewma\nalpha={self.alpha!r}\nsigma2_0={self.sigma2_0!r}\n"
 
 
-def ewma_step(sigma2_prev: float, r_prev: float, alpha: float) -> float:
-    """One variance update: alpha weights the previous variance, as printed."""
-    if not (0 < alpha <= 1):
-        raise DataError(f"alpha must be in (0, 1], got {alpha}")
-    if sigma2_prev < 0:
-        raise DataError("sigma2_prev must be non-negative")
-    return alpha * sigma2_prev + (1.0 - alpha) * r_prev * r_prev
-
 def ewma_forecasts(values, alpha: float, sigma2_0: float) -> np.ndarray:
     """1-step rv forecasts over a series driven by its own squared values.
 
-    forecast[t] uses data up to t-1 only; forecast[0] = sqrt(sigma2_0).  The
-    ``ewma_step`` recursion: (1 - alpha) r r for every r at once, then
-    s = alpha s + x_t.
+    forecast[t] = sqrt(sigma2[t]), where sigma2[0] = sigma2_0 and
+    sigma2[t] = alpha sigma2[t-1] + (1 - alpha) v[t-1] v[t-1] over the values
+    v, so it uses data up to t-1 only.  The (1 - alpha) v v terms are computed
+    for every v at once; only the alpha feedback runs as a loop.
     """
     if not (0 < alpha <= 1):
         raise DataError(f"alpha must be in (0, 1], got {alpha}")

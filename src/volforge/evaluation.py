@@ -145,9 +145,9 @@ class EvalReport:
     failures: tuple = ()
 
 
-def build_report(records, reference: str, var_horizon: int = 10,
-                 var_confidence: float = 0.95, failures=()) -> EvalReport:
-    """One row per model, DM columns against the reference model.
+def build_report(records, reference: str, failures=()) -> EvalReport:
+    """One row per model, DM columns against the reference model, and the
+    10-day 95% VaR of each model's last forecast.
 
     All records must share an identical evaluation window (same actuals).
     """
@@ -178,8 +178,7 @@ def build_report(records, reference: str, var_horizon: int = 10,
                 dm_abs = None
         rows.append(ReportRow(rec.model_id, m["MSE"], m["RMSE"], m["MAE"],
                               m.get("MAPE", math.nan), dm_sq, dm_abs,
-                              var_estimate(float(rec.predicted[-1]), var_horizon,
-                                           var_confidence)))
+                              var_estimate(float(rec.predicted[-1]), 10, 0.95)))
     best_mse = min(r.mse for r in rows)
     best_mae = min(r.mae for r in rows)
     rows = [ReportRow(r.model_id, r.mse, r.rmse, r.mae, r.mape, r.dm_squared,

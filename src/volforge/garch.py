@@ -159,13 +159,6 @@ def garch_fit(returns, flavor: str = "garch") -> GarchModel:
     return GarchModel(omega, alpha, beta, gamma, mu, ll, flavor)
 
 
-def garch_step(model: GarchModel, r_prev: float, sigma2_prev: float) -> float:
-    """Next conditional variance from the last return and variance."""
-    eps = r_prev - model.mu
-    shock = model.alpha + (model.gamma if eps < 0 else 0.0)
-    return model.omega + shock * eps * eps + model.beta * sigma2_prev
-
-
 def garch_forecast_path(model: GarchModel, returns, start: int, stop: int) -> np.ndarray:
     """Rolling 1-step rv forecasts sqrt(sigma2[t]) for t in [start, stop).
 

@@ -1,8 +1,8 @@
 """Gate layout of the recurrent cells and their weight initialization.
 
 Both cells operate on the concatenation [h_prev, x] with logistic gates and
-tanh candidates.  The GRU carries no bias terms unless explicitly enabled.
-The batched layer unroll lives in :mod:`volforge.rnn.network`.
+tanh candidates; the GRU carries no bias terms.  The batched layer unroll
+lives in :mod:`volforge.rnn.network`.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def layer_input_dim(config: RnnConfig, layer: int) -> int:
-    return 1 if layer == 0 else config.units
-
-
 def init_weights(config: RnnConfig, rng=None) -> dict:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] init from a seeded PCG64 rng.
 
@@ -34,8 +30,7 @@ def init_weights(config: RnnConfig, rng=None) -> dict:
     u = config.units
     weights = {}
     for l in range(config.layers):
-        in_dim = layer_input_dim(config, l)
-        fan_in = u + in_dim
+        fan_in = u + (1 if l == 0 else u)   # [h_prev, x]: x is the rv or the layer below
         bound = 1.0 / np.sqrt(fan_in)
 
         def draw(shape):
@@ -49,9 +44,6 @@ def init_weights(config: RnnConfig, rng=None) -> dict:
         else:
             for g in GRU_GATES:
                 weights[f"l{l}.W_{g}"] = draw((u, fan_in))
-            if config.gru_bias:
-                for g in GRU_GATES:
-                    weights[f"l{l}.b_{g}"] = np.zeros(u)
     head_bound = 1.0 / np.sqrt(u)
     weights["head.w"] = rng.uniform(-head_bound, head_bound, size=u)
     weights["head.b"] = np.zeros(1)

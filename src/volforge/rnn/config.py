@@ -29,7 +29,6 @@ class RnnConfig:
     optimizer: str = "adam"
     learning_rate: float = 0.01
     seed: int = 0
-    gru_bias: bool = False          # gates are bias-free by default
 
     def __post_init__(self):
         if self.cell not in ("lstm", "gru"):

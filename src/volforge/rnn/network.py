@@ -5,6 +5,10 @@ gradients can be validated parameter-by-parameter with central finite
 differences (see ``rnn_gradient_check``).  Dropout applies to non-recurrent
 connections only: the output sequence of each layer is masked before it
 feeds the next layer or the head, and never inside the recurrence.
+
+One unroll serves both cells: each cell contributes a step, its reverse and
+the names of its per-layer parameters (:data:`CELLS`).  Every step carries
+``(h, c)``; the GRU has no cell state and passes ``c`` through untouched.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .cells import GRU_GATES, LSTM_GATES, layer_input_dim, sigmoid
+from .cells import GRU_GATES, LSTM_GATES, sigmoid
 from .config import RnnConfig
 
 
@@ -30,205 +34,145 @@ def _head_activation(pre, kind):
     raise DataError(f"unknown head activation {kind!r}")
 
 
-def _lstm_layer_forward(x, weights, layer):
+def _lstm_step(h, c, x_t, w):
+    W_f, W_i, W_C, W_o, b_f, b_i, b_C, b_o = w
+    cat = np.concatenate([h, x_t], axis=1)
+    f = sigmoid(cat @ W_f.T + b_f)
+    i = sigmoid(cat @ W_i.T + b_i)
+    c_tilde = np.tanh(cat @ W_C.T + b_C)
+    o = sigmoid(cat @ W_o.T + b_o)
+    c_new = f * c + i * c_tilde
+    tanh_c = np.tanh(c_new)
+    return o * tanh_c, c_new, (cat, f, i, c_tilde, o, c, tanh_c)
+
+
+def _lstm_step_back(dh, dc_next, s, w, grads):
+    cat, f, i, c_tilde, o, c_prev, tanh_c = s
+    W_f, W_i, W_C, W_o = w[:4]
+    u = dh.shape[1]
+    do = dh * tanh_c
+    da_o = do * o * (1 - o)
+    dc = dh * o * (1 - tanh_c ** 2) + dc_next
+    df = dc * c_prev
+    da_f = df * f * (1 - f)
+    di = dc * c_tilde
+    da_i = di * i * (1 - i)
+    dct = dc * i
+    da_c = dct * (1 - c_tilde ** 2)
+    dcat = da_f @ W_f + da_i @ W_i + da_c @ W_C + da_o @ W_o
+    for k, da in enumerate((da_f, da_i, da_c, da_o)):
+        grads[k] += da.T @ cat
+        grads[k + 4] += da.sum(axis=0)
+    return dcat[:, :u], dc * f, dcat[:, u:]
+
+
+def _gru_step(h, c, x_t, w):
+    W_z, W_r, W_h = w
+    cat = np.concatenate([h, x_t], axis=1)
+    z = sigmoid(cat @ W_z.T)
+    r = sigmoid(cat @ W_r.T)
+    cat_r = np.concatenate([r * h, x_t], axis=1)
+    h_tilde = np.tanh(cat_r @ W_h.T)
+    return (1 - z) * h + z * h_tilde, c, (cat, cat_r, z, r, h_tilde, h)
+
+
+def _gru_step_back(dh, dc_next, s, w, grads):
+    cat, cat_r, z, r, h_tilde, h_prev = s
+    W_z, W_r, W_h = w
+    u = dh.shape[1]
+    dz = dh * (h_tilde - h_prev)
+    da_z = dz * z * (1 - z)
+    dh_tilde = dh * z
+    da_h = dh_tilde * (1 - h_tilde ** 2)
+    dcat_r = da_h @ W_h
+    drh = dcat_r[:, :u]
+    dr = drh * h_prev
+    da_r = dr * r * (1 - r)
+    dh_prev = dh * (1 - z) + drh * r
+    dcat = da_z @ W_z + da_r @ W_r
+    dh_prev += dcat[:, :u]
+    grads[0] += da_z.T @ cat
+    grads[1] += da_r.T @ cat
+    grads[2] += da_h.T @ cat_r
+    return dh_prev, dc_next, dcat[:, u:] + dcat_r[:, u:]
+
+
+# cell -> (step, reverse step, per-layer parameter names in gradient order)
+CELLS = {
+    "lstm": (_lstm_step, _lstm_step_back, tuple(f"{p}_{g}" for p in "Wb" for g in LSTM_GATES)),
+    "gru": (_gru_step, _gru_step_back, tuple(f"W_{g}" for g in GRU_GATES)),
+}
+
+
+def _layer_forward(x, w, step):
     b_sz, t_len, _ = x.shape
-    u = weights[f"l{layer}.W_f"].shape[0]
-    h = np.zeros((b_sz, u))
-    c = np.zeros((b_sz, u))
+    u = w[0].shape[0]
+    h = c = np.zeros((b_sz, u))
     hs = np.empty((b_sz, t_len, u))
     steps = []
     for t in range(t_len):
-        cat = np.concatenate([h, x[:, t]], axis=1)
-        f = sigmoid(cat @ weights[f"l{layer}.W_f"].T + weights[f"l{layer}.b_f"])
-        i = sigmoid(cat @ weights[f"l{layer}.W_i"].T + weights[f"l{layer}.b_i"])
-        c_tilde = np.tanh(cat @ weights[f"l{layer}.W_C"].T + weights[f"l{layer}.b_C"])
-        o = sigmoid(cat @ weights[f"l{layer}.W_o"].T + weights[f"l{layer}.b_o"])
-        c_new = f * c + i * c_tilde
-        h = o * np.tanh(c_new)
-        steps.append({"cat": cat, "f": f, "i": i, "o": o, "c_tilde": c_tilde,
-                      "c_prev": c, "c": c_new, "tanh_c": np.tanh(c_new)})
-        c = c_new
+        h, c, s = step(h, c, x[:, t], w)
+        steps.append(s)
         hs[:, t] = h
     return hs, steps
 
 
-def _lstm_layer_backward(dhs, steps, weights, layer, in_dim):
+def _layer_backward(dhs, steps, w, step_back):
     b_sz, t_len, u = dhs.shape
-    grads = {f"l{layer}.W_{g}": np.zeros_like(weights[f"l{layer}.W_{g}"]) for g in LSTM_GATES}
-    grads.update({f"l{layer}.b_{g}": np.zeros_like(weights[f"l{layer}.b_{g}"]) for g in LSTM_GATES})
-    dx = np.empty((b_sz, t_len, in_dim))
-    dh_next = np.zeros((b_sz, u))
-    dc_next = np.zeros((b_sz, u))
+    grads = [np.zeros_like(p) for p in w]
+    dx = np.empty((b_sz, t_len, w[0].shape[1] - u))
+    dh_next = dc_next = np.zeros((b_sz, u))
     for t in range(t_len - 1, -1, -1):
-        s = steps[t]
-        dh = dhs[:, t] + dh_next
-        do = dh * s["tanh_c"]
-        da_o = do * s["o"] * (1 - s["o"])
-        dc = dh * s["o"] * (1 - s["tanh_c"] ** 2) + dc_next
-        df = dc * s["c_prev"]
-        da_f = df * s["f"] * (1 - s["f"])
-        di = dc * s["c_tilde"]
-        da_i = di * s["i"] * (1 - s["i"])
-        dct = dc * s["i"]
-        da_c = dct * (1 - s["c_tilde"] ** 2)
-        dcat = (da_f @ weights[f"l{layer}.W_f"] + da_i @ weights[f"l{layer}.W_i"]
-                + da_c @ weights[f"l{layer}.W_C"] + da_o @ weights[f"l{layer}.W_o"])
-        for g, da in zip(LSTM_GATES, (da_f, da_i, da_c, da_o)):
-            grads[f"l{layer}.W_{g}"] += da.T @ s["cat"]
-            grads[f"l{layer}.b_{g}"] += da.sum(axis=0)
-        dh_next = dcat[:, :u]
-        dx[:, t] = dcat[:, u:]
-        dc_next = dc * s["f"]
-    return dx, grads
-
-
-def _gru_layer_forward(x, weights, layer, use_bias):
-    b_sz, t_len, _ = x.shape
-    u = weights[f"l{layer}.W_z"].shape[0]
-    bz = weights.get(f"l{layer}.b_z", 0.0) if use_bias else 0.0
-    br = weights.get(f"l{layer}.b_r", 0.0) if use_bias else 0.0
-    bh = weights.get(f"l{layer}.b_h", 0.0) if use_bias else 0.0
-    h = np.zeros((b_sz, u))
-    hs = np.empty((b_sz, t_len, u))
-    steps = []
-    for t in range(t_len):
-        cat = np.concatenate([h, x[:, t]], axis=1)
-        z = sigmoid(cat @ weights[f"l{layer}.W_z"].T + bz)
-        r = sigmoid(cat @ weights[f"l{layer}.W_r"].T + br)
-        cat_r = np.concatenate([r * h, x[:, t]], axis=1)
-        h_tilde = np.tanh(cat_r @ weights[f"l{layer}.W_h"].T + bh)
-        h_new = (1 - z) * h + z * h_tilde
-        steps.append({"cat": cat, "cat_r": cat_r, "z": z, "r": r,
-                      "h_tilde": h_tilde, "h_prev": h})
-        h = h_new
-        hs[:, t] = h
-    return hs, steps
-
-
-def _gru_layer_backward(dhs, steps, weights, layer, in_dim, use_bias):
-    b_sz, t_len, u = dhs.shape
-    grads = {f"l{layer}.W_{g}": np.zeros_like(weights[f"l{layer}.W_{g}"]) for g in GRU_GATES}
-    if use_bias:
-        grads.update({f"l{layer}.b_{g}": np.zeros_like(weights[f"l{layer}.b_{g}"])
-                      for g in GRU_GATES})
-    dx = np.empty((b_sz, t_len, in_dim))
-    dh_next = np.zeros((b_sz, u))
-    for t in range(t_len - 1, -1, -1):
-        s = steps[t]
-        dh = dhs[:, t] + dh_next
-        dz = dh * (s["h_tilde"] - s["h_prev"])
-        da_z = dz * s["z"] * (1 - s["z"])
-        dh_tilde = dh * s["z"]
-        da_h = dh_tilde * (1 - s["h_tilde"] ** 2)
-        dcat_r = da_h @ weights[f"l{layer}.W_h"]
-        drh = dcat_r[:, :u]
-        dx_h = dcat_r[:, u:]
-        dr = drh * s["h_prev"]
-        da_r = dr * s["r"] * (1 - s["r"])
-        dh_prev = dh * (1 - s["z"]) + drh * s["r"]
-        dcat = da_z @ weights[f"l{layer}.W_z"] + da_r @ weights[f"l{layer}.W_r"]
-        dh_prev += dcat[:, :u]
-        dx[:, t] = dcat[:, u:] + dx_h
-        for g, da in zip(GRU_GATES, (da_z, da_r, da_h)):
-            grads[f"l{layer}.W_{g}"] += da.T @ (s["cat_r"] if g == "h" else s["cat"])
-            if use_bias:
-                grads[f"l{layer}.b_{g}"] += da.sum(axis=0)
-        dh_next = dh_prev
+        dh_next, dc_next, dx[:, t] = step_back(dhs[:, t] + dh_next, dc_next, steps[t],
+                                               w, grads)
     return dx, grads
 
 
 def rnn_forward(windows, weights, config: RnnConfig, training=False, dropout_rng=None):
-    """Predictions (scaled space) for a batch of input windows.
+    """Predictions (scaled space) for a (batch, window) array of input windows.
 
-    ``windows`` is (batch, window) or a single 1-d window.  Returns
-    (predictions, cache); cache is consumed by :func:`rnn_backward`.
+    Returns (predictions, cache); cache is consumed by :func:`rnn_backward`.
     """
     x = np.asarray(windows, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != config.window:
-        raise DataError(f"window length {x.shape[1]} != configured {config.window}")
-    x = x[:, :, None]
-    use_bias = config.cell == "gru" and config.gru_bias
+    if x.ndim != 2 or x.shape[1] != config.window:
+        raise DataError(f"windows of shape {x.shape} are not (batch, {config.window})")
+    step, _, params = CELLS[config.cell]
     layer_caches = []
-    inp = x
+    inp = x[:, :, None]
     for l in range(config.layers):
-        if config.cell == "lstm":
-            hs, steps = _lstm_layer_forward(inp, weights, l)
-        else:
-            hs, steps = _gru_layer_forward(inp, weights, l, use_bias)
+        hs, steps = _layer_forward(inp, [weights[f"l{l}.{p}"] for p in params], step)
         mask = None
-        out = hs
         if training and config.dropout > 0:
             if dropout_rng is None:
                 raise DataError("training with dropout requires a dropout rng")
             keep = 1.0 - config.dropout
             mask = (dropout_rng.random(hs.shape) < keep) / keep
-            out = hs * mask
-        layer_caches.append({"steps": steps, "input": inp, "mask": mask, "hs": hs})
-        inp = out
+            hs = hs * mask
+        layer_caches.append((steps, mask))
+        inp = hs
     h_last = inp[:, -1]
     pre = h_last @ weights["head.w"] + weights["head.b"][0]
     yhat, dact = _head_activation(pre, config.activation)
-    cache = {"layers": layer_caches, "h_last": h_last, "dact": dact,
-             "last_out": inp, "single": single}
-    return (yhat[0] if single else yhat), cache
+    return yhat, {"layers": layer_caches, "h_last": h_last, "dact": dact,
+                  "shape": inp.shape}
 
 
 def rnn_backward(dy, cache, weights, config: RnnConfig):
-    """Gradients of the loss w.r.t. every weight, given dLoss/dprediction."""
-    dy = np.atleast_1d(np.asarray(dy, dtype=float))
+    """Gradients of the loss w.r.t. every weight, given dLoss/dprediction.
+
+    The keys come head first, then the layers from last to first, each with
+    its ``W_*`` before its ``b_*``: :func:`clip_gradients` sums in this order.
+    """
+    _, step_back, params = CELLS[config.cell]
     da = dy * cache["dact"]
     grads = {"head.w": cache["h_last"].T @ da, "head.b": np.array([da.sum()])}
-    b_sz, t_len, u = cache["last_out"].shape
-    dhs = np.zeros((b_sz, t_len, u))
+    dhs = np.zeros(cache["shape"])
     dhs[:, -1] = np.outer(da, weights["head.w"])
-    use_bias = config.cell == "gru" and config.gru_bias
     for l in range(config.layers - 1, -1, -1):
-        lc = cache["layers"][l]
-        if lc["mask"] is not None:
-            dhs = dhs * lc["mask"]
-        in_dim = layer_input_dim(config, l)
-        if config.cell == "lstm":
-            dx, g = _lstm_layer_backward(dhs, lc["steps"], weights, l, in_dim)
-        else:
-            dx, g = _gru_layer_backward(dhs, lc["steps"], weights, l, in_dim, use_bias)
-        grads.update(g)
-        dhs = dx
+        steps, mask = cache["layers"][l]
+        if mask is not None:
+            dhs = dhs * mask
+        keys = [f"l{l}.{p}" for p in params]
+        dhs, g = _layer_backward(dhs, steps, [weights[k] for k in keys], step_back)
+        grads.update(zip(keys, g))
     return grads
-
-
-# ---------------------------------------------------------------------------
-# Weight dump: versioned flat text tensor listing with shape headers.
-# ---------------------------------------------------------------------------
-
-DUMP_HEADER = "# volforge rnn weights v1"
-
-
-def dump_weights(weights: dict) -> str:
-    lines = [DUMP_HEADER]
-    for name in sorted(weights):
-        arr = np.atleast_1d(np.asarray(weights[name], dtype=float))
-        shape = " ".join(str(s) for s in arr.shape)
-        lines.append(f"tensor {name} {shape}")
-        lines.append(" ".join(repr(float(v)) for v in arr.ravel()))
-    return "\n".join(lines) + "\n"
-
-
-def load_weights(text: str) -> dict:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != DUMP_HEADER:
-        raise DataError("unrecognized weight dump header")
-    weights = {}
-    i = 1
-    while i < len(lines):
-        parts = lines[i].split()
-        if parts[0] != "tensor":
-            raise DataError(f"expected tensor header at line {i + 1}")
-        name = parts[1]
-        shape = tuple(int(s) for s in parts[2:])
-        vals = np.array([float(v) for v in lines[i + 1].split()])
-        weights[name] = vals.reshape(shape)
-        i += 2
-    return weights

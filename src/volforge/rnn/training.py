@@ -137,17 +137,6 @@ def rnn_train(train, config: RnnConfig, scaler: MinMaxScaler | None = None) -> T
     return TrainedRnn(config, weights, scaler, tuple(curve))
 
 
-def rnn_predict(model: TrainedRnn, history) -> float:
-    """Next-step rv forecast in original units from the trailing window."""
-    values = np.asarray(history, dtype=float)
-    w = model.config.window
-    if len(values) < w:
-        raise DataError(f"history of length {len(values)} shorter than window {w}")
-    scaled = model.scaler.transform(values[-w:])
-    yhat, _ = rnn_forward(scaled, model.weights, model.config)
-    return float(model.scaler.invert(yhat))
-
-
 def rnn_forecast_path(model: TrainedRnn, values, start: int, stop: int) -> np.ndarray:
     """Rolling 1-step forecasts for indices [start, stop), scaler held fixed."""
     values = np.asarray(values, dtype=float)
@@ -160,7 +149,7 @@ def rnn_forecast_path(model: TrainedRnn, values, start: int, stop: int) -> np.nd
     return model.scaler.invert(yhat)
 
 
-def rnn_gradient_check(config: RnnConfig, weights=None, batch=None, step=1e-6) -> float:
+def rnn_gradient_check(config: RnnConfig, step=1e-6) -> float:
     """Max relative error of analytic BPTT gradients vs central differences.
 
     Every parameter of every tensor is perturbed; dropout is forced off so
@@ -169,13 +158,9 @@ def rnn_gradient_check(config: RnnConfig, weights=None, batch=None, step=1e-6) -
     if config.dropout != 0:
         config = replace(config, dropout=0.0)
     rng = np.random.default_rng(config.seed)
-    if weights is None:
-        weights = init_weights(config, rng)
-    if batch is None:
-        x = rng.uniform(0.0, 1.0, size=(4, config.window))
-        y = rng.uniform(0.0, 1.0, size=4)
-    else:
-        x, y = batch
+    weights = init_weights(config, rng)
+    x = rng.uniform(0.0, 1.0, size=(4, config.window))
+    y = rng.uniform(0.0, 1.0, size=4)
 
     def objective(w):
         yhat, _ = rnn_forward(x, w, config)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ _BUCKET_UNITS = {"hour": "h", "day": "D", "month": "M"}
 AGGREGATIONS = tuple(_BUCKET_UNITS)
 # the four-digit years: epoch seconds from 0001-01-01 up to 10000-01-01 (UTC)
 _FIRST_SECOND, _END_SECOND = -62135596800, 253402300800
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -253,14 +254,18 @@ def _parse_timestamp(tok: str) -> int:
         raise DataError(f"unparseable timestamp {tok!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    # exact floor toward -inf, as calendar_buckets floors; int() of the float
+    # timestamp would truncate toward zero
+    return (dt - _EPOCH) // timedelta(seconds=1)
 
 
 def read_price_csv(path) -> PriceSeries:
     """Read a `timestamp,price` CSV; timestamps ISO-8601 or epoch seconds.
 
-    The timestamp style must be uniform within one file; NaN/inf prices are
-    rejected by the PriceSeries invariants.
+    The timestamp style must be uniform within one file.  ISO timestamps
+    without an offset are UTC and are floored to whole epoch seconds, so
+    ``1969-12-31T23:59:59.5`` reads as -1.  NaN/inf prices are rejected by
+    the PriceSeries invariants.
     """
     path = Path(path)
     if not path.exists():

@@ -10,7 +10,7 @@ from volforge.classical import (ArimaModel, EwmaModel, HarModel, _css_residuals,
                                 _difference, _pacf_to_coeffs, arima_fit,
                                 arima_forecast, arima_order_select, arima_path,
                                 default_har_lag_grid, ewma_fit, ewma_forecasts,
-                                ewma_path, ewma_step, har_design, har_fit,
+                                ewma_path, har_design, har_fit,
                                 argmin_search, har_forecast, har_lag_search,
                                 har_path, naive_path)
 from volforge.errors import DataError, FitError
@@ -62,21 +62,23 @@ class TestArgminSearch:
 
 
 class TestEwmaStep:
+    """One step of the recursion, read off the second forecast."""
+
     def test_alpha_one_keeps_variance(self):
-        assert ewma_step(0.04, 123.0, 1.0) == 0.04
+        assert ewma_forecasts([123.0, 0.0], 1.0, 0.04)[1] == math.sqrt(0.04)
 
     def test_alpha_near_zero_tracks_return(self):
-        assert ewma_step(0.04, 0.1, 1e-12) == pytest.approx(0.01, rel=1e-9)
+        assert ewma_forecasts([0.1, 0.0], 1e-12, 0.04)[1] == pytest.approx(0.1, rel=1e-9)
 
     def test_direct_substitution(self):
         # 0.5*0.04 + 0.5*0.01
-        assert ewma_step(0.04, 0.1, 0.5) == pytest.approx(0.025, abs=1e-15)
+        assert ewma_forecasts([0.1, 0.0], 0.5, 0.04)[1] ** 2 == pytest.approx(0.025, abs=1e-15)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(DataError):
-            ewma_step(0.04, 0.1, 0.0)
+            ewma_forecasts([0.1, 0.0], 0.0, 0.04)
         with pytest.raises(DataError):
-            ewma_step(0.04, 0.1, 1.5)
+            ewma_forecasts([0.1, 0.0], 1.5, 0.04)
 
     def test_alpha_one_constant_forecast_path(self):
         fc = ewma_forecasts(np.array([0.1, 0.9, 0.3, 0.7]), 1.0, 0.04)
@@ -366,6 +368,11 @@ def har_forecast_loop(model, history):
             + model.beta_w * float(np.mean(logs[-w:]))
             + model.beta_m * float(np.mean(logs[-m:])))
     return float(np.exp(pred))
+
+
+def ewma_step(sigma2_prev, r_prev, alpha):
+    """One variance update: alpha weights the previous variance, as printed."""
+    return alpha * sigma2_prev + (1.0 - alpha) * r_prev * r_prev
 
 
 def ewma_forecasts_loop(values, alpha, sigma2_0):

@@ -8,10 +8,17 @@ from hypothesis.extra.numpy import arrays
 
 from volforge.errors import DataError
 from volforge.garch import (GarchModel, garch_fit, garch_forecast_path,
-                            garch_loglik, garch_step, variance_path)
+                            garch_loglik, variance_path)
 from volforge.synth import GarchSimSpec, simulate_garch
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def garch_step(model, r_prev, sigma2_prev):
+    """Next conditional variance from the last return and variance."""
+    eps = r_prev - model.mu
+    shock = model.alpha + (model.gamma if eps < 0 else 0.0)
+    return model.omega + shock * eps * eps + model.beta * sigma2_prev
 
 
 class TestVariancePath:
@@ -105,9 +112,9 @@ class TestLoglik:
 
 class TestStepAndForecast:
     def test_step_substitution(self):
-        m = GarchModel(1e-5, 0.1, 0.8, 0.0, 0.0, 0.0)
         # 1e-5 + 0.1*0.0004 + 0.8*0.0001
-        assert garch_step(m, 0.02, 1e-4) == pytest.approx(1.3e-4, rel=1e-12)
+        s2 = variance_path(np.array([0.02, 0.0]), 1e-5, 0.1, 0.8, 0.0, 0.0, sigma2_0=1e-4)
+        assert s2[1] == pytest.approx(1.3e-4, rel=1e-12)
 
     def test_forecast_path_matches_manual_loop(self):
         r = simulate_garch(GarchSimSpec(1e-5, 0.1, 0.85, length=300, seed=3)).returns

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from volforge.errors import ConfigError, DataError
-from volforge.rnn.cells import GRU_GATES, LSTM_GATES, init_weights
+from volforge.rnn.cells import GRU_GATES, LSTM_GATES, init_weights, sigmoid
 from volforge.rnn.config import RnnConfig
-from volforge.rnn.network import dump_weights, load_weights, rnn_forward
+from volforge.rnn.network import rnn_backward, rnn_forward
 from volforge.rnn.search import (hyperparameter_search, search_log_csv,
                                  validation_metric, window_search)
 from volforge.rnn.training import (build_supervised_pairs,
                                    clip_gradients, loss_and_grad,
                                    rnn_forecast_path, rnn_gradient_check,
-                                   rnn_predict, rnn_train)
+                                   rnn_train)
 from volforge.series import MinMaxScaler
 from volforge.synth import simulate_log_vol_cascade
 
@@ -69,8 +69,16 @@ def gru_oracle(xs, w):
 
 
 def forward(cell, xs, w):
-    yhat, _ = rnn_forward(np.asarray(xs, dtype=float), w, RnnConfig(cell=cell, window=len(xs)))
-    return float(yhat)
+    yhat, _ = rnn_forward(np.asarray([xs], dtype=float), w, RnnConfig(cell=cell, window=len(xs)))
+    return float(yhat[0])
+
+
+def predict(model, history):
+    """Next-step rv forecast in original units from the trailing window alone."""
+    w = model.config.window
+    scaled = model.scaler.transform(np.asarray(history, dtype=float)[-w:])
+    yhat, _ = rnn_forward(scaled[None, :], model.weights, model.config)
+    return float(model.scaler.invert(yhat[0]))
 
 
 class TestCells:
@@ -125,8 +133,6 @@ class TestCells:
     def test_gru_default_has_no_bias_tensors(self):
         w = init_weights(RnnConfig(cell="gru", units=5))
         assert not any(k.startswith("l0.b_") for k in w)
-        wb = init_weights(RnnConfig(cell="gru", units=5, gru_bias=True))
-        assert all(f"l0.b_{g}" in wb for g in GRU_GATES)
 
     def test_lstm_forget_bias_starts_at_one(self):
         w = init_weights(RnnConfig(cell="lstm", units=10))
@@ -164,8 +170,8 @@ class TestForward:
         cfg = RnnConfig(cell="lstm", units=5, window=3, seed=0)
         w = zero_weights("lstm", units=5)
         w["head.b"] = np.array([0.42])
-        yhat, _ = rnn_forward(np.array([0.1, 0.2, 0.3]), w, cfg)
-        assert yhat == pytest.approx(0.42)
+        yhat, _ = rnn_forward(np.array([[0.1, 0.2, 0.3]]), w, cfg)
+        assert yhat[0] == pytest.approx(0.42)
 
     def test_batch_matches_single(self):
         cfg = RnnConfig(cell="gru", units=10, window=5, seed=2)
@@ -173,21 +179,186 @@ class TestForward:
         batch = np.random.default_rng(0).uniform(size=(6, 5))
         yb, _ = rnn_forward(batch, w, cfg)
         for k in range(6):
-            ys, _ = rnn_forward(batch[k], w, cfg)
-            assert ys == pytest.approx(yb[k], abs=1e-12)
+            ys, _ = rnn_forward(batch[k:k + 1], w, cfg)
+            assert ys[0] == pytest.approx(yb[k], abs=1e-12)
 
     def test_wrong_window_length_rejected(self):
         cfg = RnnConfig(window=5)
         w = init_weights(cfg)
         with pytest.raises(DataError, match="window"):
-            rnn_forward(np.zeros(4), w, cfg)
+            rnn_forward(np.zeros((2, 4)), w, cfg)
+        with pytest.raises(DataError, match="window"):
+            rnn_forward(np.zeros(5), w, cfg)
 
     def test_relu_head_nonnegative(self):
         cfg = RnnConfig(cell="lstm", units=10, window=5, activation="relu", seed=1)
         w = init_weights(cfg)
         w["head.b"] = np.array([-100.0])
-        yhat, _ = rnn_forward(np.zeros(5), w, cfg)
-        assert yhat == 0.0
+        yhat, _ = rnn_forward(np.zeros((1, 5)), w, cfg)
+        assert yhat[0] == 0.0
+
+
+# Per-cell layer loops, one forward and one backward for each cell: the
+# bit-exactness oracle of the shared unroll in ``network``.  Their bias-free
+# GRU adds no zero bias, which could change only the sign of an exact zero.
+
+def _lstm_layer_forward(x, weights, layer):
+    b_sz, t_len, _ = x.shape
+    u = weights[f"l{layer}.W_f"].shape[0]
+    h = np.zeros((b_sz, u))
+    c = np.zeros((b_sz, u))
+    hs = np.empty((b_sz, t_len, u))
+    steps = []
+    for t in range(t_len):
+        cat = np.concatenate([h, x[:, t]], axis=1)
+        f = sigmoid(cat @ weights[f"l{layer}.W_f"].T + weights[f"l{layer}.b_f"])
+        i = sigmoid(cat @ weights[f"l{layer}.W_i"].T + weights[f"l{layer}.b_i"])
+        c_tilde = np.tanh(cat @ weights[f"l{layer}.W_C"].T + weights[f"l{layer}.b_C"])
+        o = sigmoid(cat @ weights[f"l{layer}.W_o"].T + weights[f"l{layer}.b_o"])
+        c_new = f * c + i * c_tilde
+        h = o * np.tanh(c_new)
+        steps.append({"cat": cat, "f": f, "i": i, "o": o, "c_tilde": c_tilde,
+                      "c_prev": c, "c": c_new, "tanh_c": np.tanh(c_new)})
+        c = c_new
+        hs[:, t] = h
+    return hs, steps
+
+
+def _lstm_layer_backward(dhs, steps, weights, layer, in_dim):
+    b_sz, t_len, u = dhs.shape
+    grads = {f"l{layer}.W_{g}": np.zeros_like(weights[f"l{layer}.W_{g}"]) for g in LSTM_GATES}
+    grads.update({f"l{layer}.b_{g}": np.zeros_like(weights[f"l{layer}.b_{g}"]) for g in LSTM_GATES})
+    dx = np.empty((b_sz, t_len, in_dim))
+    dh_next = np.zeros((b_sz, u))
+    dc_next = np.zeros((b_sz, u))
+    for t in range(t_len - 1, -1, -1):
+        s = steps[t]
+        dh = dhs[:, t] + dh_next
+        do = dh * s["tanh_c"]
+        da_o = do * s["o"] * (1 - s["o"])
+        dc = dh * s["o"] * (1 - s["tanh_c"] ** 2) + dc_next
+        df = dc * s["c_prev"]
+        da_f = df * s["f"] * (1 - s["f"])
+        di = dc * s["c_tilde"]
+        da_i = di * s["i"] * (1 - s["i"])
+        dct = dc * s["i"]
+        da_c = dct * (1 - s["c_tilde"] ** 2)
+        dcat = (da_f @ weights[f"l{layer}.W_f"] + da_i @ weights[f"l{layer}.W_i"]
+                + da_c @ weights[f"l{layer}.W_C"] + da_o @ weights[f"l{layer}.W_o"])
+        for g, da in zip(LSTM_GATES, (da_f, da_i, da_c, da_o)):
+            grads[f"l{layer}.W_{g}"] += da.T @ s["cat"]
+            grads[f"l{layer}.b_{g}"] += da.sum(axis=0)
+        dh_next = dcat[:, :u]
+        dx[:, t] = dcat[:, u:]
+        dc_next = dc * s["f"]
+    return dx, grads
+
+
+def _gru_layer_forward(x, weights, layer):
+    b_sz, t_len, _ = x.shape
+    u = weights[f"l{layer}.W_z"].shape[0]
+    h = np.zeros((b_sz, u))
+    hs = np.empty((b_sz, t_len, u))
+    steps = []
+    for t in range(t_len):
+        cat = np.concatenate([h, x[:, t]], axis=1)
+        z = sigmoid(cat @ weights[f"l{layer}.W_z"].T)
+        r = sigmoid(cat @ weights[f"l{layer}.W_r"].T)
+        cat_r = np.concatenate([r * h, x[:, t]], axis=1)
+        h_tilde = np.tanh(cat_r @ weights[f"l{layer}.W_h"].T)
+        h_new = (1 - z) * h + z * h_tilde
+        steps.append({"cat": cat, "cat_r": cat_r, "z": z, "r": r,
+                      "h_tilde": h_tilde, "h_prev": h})
+        h = h_new
+        hs[:, t] = h
+    return hs, steps
+
+
+def _gru_layer_backward(dhs, steps, weights, layer, in_dim):
+    b_sz, t_len, u = dhs.shape
+    grads = {f"l{layer}.W_{g}": np.zeros_like(weights[f"l{layer}.W_{g}"]) for g in GRU_GATES}
+    dx = np.empty((b_sz, t_len, in_dim))
+    dh_next = np.zeros((b_sz, u))
+    for t in range(t_len - 1, -1, -1):
+        s = steps[t]
+        dh = dhs[:, t] + dh_next
+        dz = dh * (s["h_tilde"] - s["h_prev"])
+        da_z = dz * s["z"] * (1 - s["z"])
+        dh_tilde = dh * s["z"]
+        da_h = dh_tilde * (1 - s["h_tilde"] ** 2)
+        dcat_r = da_h @ weights[f"l{layer}.W_h"]
+        drh = dcat_r[:, :u]
+        dx_h = dcat_r[:, u:]
+        dr = drh * s["h_prev"]
+        da_r = dr * s["r"] * (1 - s["r"])
+        dh_prev = dh * (1 - s["z"]) + drh * s["r"]
+        dcat = da_z @ weights[f"l{layer}.W_z"] + da_r @ weights[f"l{layer}.W_r"]
+        dh_prev += dcat[:, :u]
+        dx[:, t] = dcat[:, u:] + dx_h
+        for g, da in zip(GRU_GATES, (da_z, da_r, da_h)):
+            grads[f"l{layer}.W_{g}"] += da.T @ (s["cat_r"] if g == "h" else s["cat"])
+        dh_next = dh_prev
+    return dx, grads
+
+
+def loops_forward_backward(x, y, weights, config, dropout_rng):
+    """Predictions and gradients of ``config.loss`` through the per-cell loops,
+    with dropout masks drawn as ``rnn_forward`` draws them."""
+    inp = x[:, :, None]
+    layers = []
+    for l in range(config.layers):
+        if config.cell == "lstm":
+            hs, steps = _lstm_layer_forward(inp, weights, l)
+        else:
+            hs, steps = _gru_layer_forward(inp, weights, l)
+        mask = None
+        if config.dropout > 0:
+            keep = 1.0 - config.dropout
+            mask = (dropout_rng.random(hs.shape) < keep) / keep
+            hs = hs * mask
+        layers.append((steps, mask))
+        inp = hs
+    h_last = inp[:, -1]
+    yhat = h_last @ weights["head.w"] + weights["head.b"][0]
+    _, da = loss_and_grad(yhat, y, config.loss)
+    grads = {"head.w": h_last.T @ da, "head.b": np.array([da.sum()])}
+    dhs = np.zeros(inp.shape)
+    dhs[:, -1] = np.outer(da, weights["head.w"])
+    for l in range(config.layers - 1, -1, -1):
+        steps, mask = layers[l]
+        if mask is not None:
+            dhs = dhs * mask
+        in_dim = 1 if l == 0 else config.units
+        if config.cell == "lstm":
+            dhs, g = _lstm_layer_backward(dhs, steps, weights, l, in_dim)
+        else:
+            dhs, g = _gru_layer_backward(dhs, steps, weights, l, in_dim)
+        grads.update(g)
+    return yhat, grads
+
+
+class TestUnrollOracle:
+    """The shared unroll is bit-identical to the per-cell loops, gradient key
+    order included (``clip_gradients`` sums its norm in that order)."""
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    def test_matches_per_cell_loops(self, cell, layers, dropout, batch):
+        cfg = RnnConfig(cell=cell, layers=layers, dropout=dropout, units=5, window=6,
+                        seed=batch)
+        w = init_weights(cfg)
+        data = np.random.default_rng(batch).uniform(size=(batch, 7))
+        x, y = data[:, :6], data[:, 6]
+        yhat, cache = rnn_forward(x, w, cfg, training=True,
+                                  dropout_rng=np.random.default_rng(9))
+        grads = rnn_backward(loss_and_grad(yhat, y, cfg.loss)[1], cache, w, cfg)
+        want_yhat, want = loops_forward_backward(x, y, w, cfg, np.random.default_rng(9))
+        assert yhat.tobytes() == want_yhat.tobytes()
+        assert list(grads) == list(want)
+        for k in want:
+            assert grads[k].tobytes() == want[k].tobytes(), k
 
 
 class TestLossAndGrad:
@@ -233,8 +404,8 @@ class TestGradientCheck:
         cfg = RnnConfig(cell="lstm", units=5, window=3, layers=2, seed=1)
         assert rnn_gradient_check(cfg) < 1e-4
 
-    def test_two_layer_gru_with_bias(self):
-        cfg = RnnConfig(cell="gru", units=5, window=3, layers=2, gru_bias=True, seed=2)
+    def test_two_layer_gru(self):
+        cfg = RnnConfig(cell="gru", units=5, window=3, layers=2, seed=2)
         assert rnn_gradient_check(cfg) < 1e-4
 
     def test_tanh_head(self):
@@ -260,7 +431,7 @@ class TestTraining:
                         learning_rate=0.01, seed=0)
         model = rnn_train(np.full(80, 0.02), cfg)
         assert model.training_loss_curve[-1] < 1e-6
-        assert rnn_predict(model, np.full(10, 0.02)) == pytest.approx(0.02, abs=1e-3)
+        assert predict(model, np.full(10, 0.02)) == pytest.approx(0.02, abs=1e-3)
 
     def test_loss_curve_improves(self):
         cfg = RnnConfig(cell="gru", units=10, window=5, epochs=30, seed=1)
@@ -302,7 +473,7 @@ class TestTraining:
         model = rnn_train(data[:150], RnnConfig(units=5, window=5, epochs=2, seed=3))
         path = rnn_forecast_path(model, data, 150, 160)
         for k, t in enumerate(range(150, 160)):
-            assert path[k] == pytest.approx(rnn_predict(model, data[:t]), abs=1e-12)
+            assert path[k] == pytest.approx(predict(model, data[:t]), abs=1e-12)
 
     def test_supervised_pair_alignment(self):
         x, y = build_supervised_pairs(np.arange(10.0), 3)
@@ -311,20 +482,6 @@ class TestTraining:
         assert y[0] == 3.0
         np.testing.assert_array_equal(x[-1], [6, 7, 8])
         assert y[-1] == 9.0
-
-
-class TestDump:
-    def test_roundtrip_bit_exact(self):
-        cfg = RnnConfig(cell="lstm", units=10, window=5, layers=2, seed=9)
-        w = init_weights(cfg)
-        back = load_weights(dump_weights(w))
-        assert set(back) == set(w)
-        for k in w:
-            np.testing.assert_array_equal(back[k], np.atleast_1d(w[k]))
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(DataError, match="header"):
-            load_weights("nope\n")
 
 
 class TestSearch:

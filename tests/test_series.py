@@ -252,6 +252,17 @@ class TestCsv:
         p2 = read_price_csv(epoch)
         np.testing.assert_array_equal(p.timestamps, p2.timestamps)
 
+    def test_fractional_seconds_floor_toward_minus_infinity(self, tmp_path):
+        f = tmp_path / "frac.csv"
+        f.write_text("timestamp,price\n1969-12-31T23:59:58,100.0\n"
+                     "1969-12-31T23:59:59.5,101.0\n1970-01-01T00:00:01.5,102.0\n"
+                     "9999-12-31T23:59:59.999999,103.0\n")
+        p = read_price_csv(f)
+        np.testing.assert_array_equal(p.timestamps[:3], [-2, -1, 1])
+        assert p.timestamps[3] == 253402300799
+        rv = realized_volatility(log_returns(p), "day")
+        assert rv.period_labels == ("1969-12-31", "1970-01-01", "9999-12-31")
+
     def test_mixed_timestamp_styles_rejected(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("timestamp,price\n1577836800,100.0\n2020-01-01T00:01:00,101.0\n")
