@@ -12,7 +12,7 @@ from volforge.classical import (ArimaModel, _css_residuals, _pacf_to_coeffs, ari
                                 ewma_forecasts, har_fit, har_path)
 from volforge.garch import variance_path
 from volforge.rnn import RnnConfig, init_weights, rnn_backward, rnn_forward
-from volforge.series import log_returns, realized_volatility
+from volforge.series import log_returns, read_price_csv, realized_volatility, write_price_csv
 from volforge.synth import GbmSpec, simulate_gbm, simulate_log_vol_cascade
 
 
@@ -32,6 +32,16 @@ def test_realized_volatility(benchmark, buckets, bars, aggregation):
     returns = log_returns(prices)
     rv = benchmark(realized_volatility, returns, aggregation)
     assert len(rv) >= buckets
+
+
+def test_read_price_csv(benchmark, tmp_path):
+    # the 250 x 390-bar epoch CSV of the ingest_csv workload (its first case)
+    prices, _ = simulate_gbm(GbmSpec(buckets=250, steps_per_bucket=390, seed=101))
+    path = tmp_path / "prices.csv"
+    write_price_csv(prices, path)
+    back = benchmark(read_price_csv, path)
+    assert back.timestamps.tobytes() == prices.timestamps.tobytes()
+    assert back.prices.tobytes() == prices.prices.tobytes()
 
 
 @pytest.mark.parametrize("n", [50, 3000])

@@ -1,10 +1,11 @@
 """Run the full experiment pipeline: synthetic data, model fitting, rolling
 out-of-sample forecasts, comparison report with DM tests and VaR.
 
-Run: python3 demos/04_full_experiment.py
-Outputs land in demos/out/.
+Run: python3 demos/04_full_experiment.py [OUT_DIR]
+Outputs land in OUT_DIR, by default demos/out/.
 """
 
+import sys
 from pathlib import Path
 
 from volforge import ExperimentConfig, run_experiment
@@ -18,7 +19,7 @@ config = ExperimentConfig(
     rnn_windows=(5, 10, 22), rnn_epochs=10, rnn_units=10,
     metric="MSE", seed=0)
 
-out = Path(__file__).parent / "out"
+out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "out"
 report_v, report_t, manifest = run_experiment(config, out_dir=out)
 
 print("test-window report (reference model: last enabled)\n")

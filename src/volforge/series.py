@@ -10,6 +10,7 @@ concurrent model fits.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -24,6 +25,7 @@ AGGREGATIONS = tuple(_BUCKET_UNITS)
 # the four-digit years: epoch seconds from 0001-01-01 up to 10000-01-01 (UTC)
 _FIRST_SECOND, _END_SECOND = -62135596800, 253402300800
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -260,19 +262,55 @@ def _parse_timestamp(tok: str) -> int:
 
 
 def read_price_csv(path) -> PriceSeries:
-    """Read a `timestamp,price` CSV; timestamps ISO-8601 or epoch seconds.
+    """Read a UTF-8 `timestamp,price` CSV; timestamps ISO-8601 or epoch seconds.
 
     The timestamp style must be uniform within one file.  ISO timestamps
     without an offset are UTC and are floored to whole epoch seconds, so
-    ``1969-12-31T23:59:59.5`` reads as -1.  NaN/inf prices are rejected by
-    the PriceSeries invariants.
+    ``1969-12-31T23:59:59.5`` reads as -1.  NaN/inf prices are rejected.
+    An epoch-style file is read in one ``np.loadtxt`` pass; any file that
+    pass cannot read exactly as the line loop would goes through the loop,
+    which names the file and line of a bad row.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such file")
-    lines = path.read_text().splitlines()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
+    lines = text.splitlines()
     if not lines or lines[0].strip().lower() != "timestamp,price":
         raise DataError(f"{path}: expected header 'timestamp,price'")
+    # in ASCII text, a loadtxt pass that neither fails nor warns differs from
+    # the loop only where it reads "+5" as 5 (the loop's style rule rejects it)
+    # and strips "\x1f" (float() does not)
+    one_pass = text.isascii() and "+" not in text and "\x1f" not in text
+    prices = _read_epoch_rows(lines[1:]) if one_pass else None
+    return prices if prices is not None else _read_price_lines(path, lines)
+
+
+def _read_epoch_rows(rows):
+    """The series of an epoch-style file's data rows, read in one pass, or
+    None where that pass might differ from :func:`_read_price_lines`."""
+    # numpy releases that still parse a failed integer field through float
+    # (so "1.5" reads as 1 and "1e20" overflows) only warn; a warning, like
+    # the "no data" one for an empty body, sends the file to the loop
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
+                               dtype=[("t", "i8"), ("p", "f8")])
+        except (ValueError, Warning):
+            return None
+    if not np.all(np.isfinite(table["p"])):
+        return None
+    return PriceSeries(table["t"].copy(), table["p"].copy())
+
+
+def _read_price_lines(path: Path, lines) -> PriceSeries:
+    """Parse the data lines one by one, raising a DataError at the first bad one."""
     ts, px = [], []
     epoch_style = None
     for lineno, line in enumerate(lines[1:], start=2):
@@ -287,7 +325,10 @@ def read_price_csv(path) -> PriceSeries:
             epoch_style = is_epoch
         elif epoch_style != is_epoch:
             raise DataError(f"{path}:{lineno}: mixed timestamp styles in one file")
-        ts.append(_parse_timestamp(tok))
+        t = _parse_timestamp(tok)
+        if not _INT64_MIN <= t <= _INT64_MAX:
+            raise DataError(f"{path}:{lineno}: timestamp {tok} outside the int64 range")
+        ts.append(t)
         try:
             p = float(parts[1])
         except ValueError as exc:
@@ -310,22 +351,3 @@ def write_rv_csv(rv: RVSeries, path) -> None:
         fh.write("period,rv\n")
         for lbl, v in zip(rv.period_labels, rv.rv):
             fh.write(f"{lbl},{float(v)!r}\n")
-
-
-def read_rv_csv(path, aggregation: str = "day") -> RVSeries:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such file")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip().lower() != "period,rv":
-        raise DataError(f"{path}: expected header 'period,rv'")
-    labels, vals = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 2 fields")
-        labels.append(parts[0].strip())
-        vals.append(float(parts[1]))
-    return RVSeries(tuple(labels), np.array(vals), aggregation)

@@ -13,7 +13,7 @@ from volforge.evaluation import ForecastRecord
 from volforge.runner import (ALL_MODELS, MODELS, Data, ExperimentConfig,
                              config_from_mapping, emit_plot_data, parse_config,
                              run_experiment)
-from volforge.series import PriceSeries, read_rv_csv, write_price_csv
+from volforge.series import PriceSeries, write_price_csv
 from volforge.synth import GbmSpec, simulate_gbm, simulate_log_vol_cascade
 
 CASCADE_CONFIG = """
@@ -33,6 +33,11 @@ def write_config(tmp_path, text=CASCADE_CONFIG, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def read_rv(path):
+    """The values of a `period,rv` CSV that write_rv_csv wrote."""
+    return [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
 
 
 class TestConfig:
@@ -319,6 +324,22 @@ class TestCli:
         assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_DATA
         assert "0001-9999" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body,message", [
+        ("timestamp,price\n0,100.0\n99999999999999999999,101.0\n".encode(),
+         "prices.csv:3: timestamp 99999999999999999999 outside the int64 range"),
+        (b"timestamp,price\n0,100.0\n60,101.0\xff\n", "prices.csv: not UTF-8 text"),
+        (None, "prices.csv: cannot read (Is a directory)"),
+    ], ids=["int64_overflow", "non_utf8", "directory"])
+    def test_unreadable_price_csv_exit_code(self, tmp_path, capsys, body, message):
+        prices = tmp_path / "prices.csv"
+        if body is None:
+            prices.mkdir()
+        else:
+            prices.write_bytes(body)
+        cfg = write_config(tmp_path, f"data.source = csv\ndata.csv = {prices}\n")
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+
     def test_simulate_then_ingest(self, tmp_path, capsys):
         sim_cfg = write_config(
             tmp_path,
@@ -336,8 +357,7 @@ class TestCli:
         ing_out = tmp_path / "ing"
         assert main(["ingest", "--config", str(ing_cfg),
                      "--out", str(ing_out)]) == EXIT_OK
-        rv = read_rv_csv(ing_out / "rv.csv")
-        assert len(rv) == 5
+        assert len(read_rv(ing_out / "rv.csv")) == 5
 
     def test_simulate_non_integral_bucket_count_exit_code(self, tmp_path, capsys):
         cfg = write_config(
@@ -356,8 +376,7 @@ class TestCli:
             "models = naive\nseed = 2\n", name="casc.cfg")
         out = tmp_path / "casc"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        rv = read_rv_csv(out / "rv.csv")
-        assert len(rv) == 40
+        assert len(read_rv(out / "rv.csv")) == 40
 
     def test_gradcheck_verb(self, capsys):
         assert main(["gradcheck", "--cell", "both", "--window", "3",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from volforge.errors import DataError
 from volforge.series import (MinMaxScaler, PriceSeries, ReturnSeries, RVSeries,
-                             SplitSpec, aggregate_log_rv, apply_zero_floor,
-                             calendar_buckets, log_returns, read_price_csv,
-                             read_rv_csv, realized_volatility, split, write_rv_csv)
+                             SplitSpec, _parse_timestamp, aggregate_log_rv,
+                             apply_zero_floor, calendar_buckets, log_returns,
+                             read_price_csv, realized_volatility, split, write_rv_csv)
 
 DAY = 86400
 
@@ -279,6 +280,166 @@ class TestCsv:
         rv = RVSeries(("2020-01-01", "2020-01-02"), np.array([0.0123456789, 0.02]), "day")
         path = tmp_path / "rv.csv"
         write_rv_csv(rv, path)
-        back = read_rv_csv(path)
-        np.testing.assert_array_equal(back.rv, rv.rv)
-        assert back.period_labels == rv.period_labels
+        labels, values = read_rv(path)
+        np.testing.assert_array_equal(values, rv.rv)
+        assert labels == rv.period_labels
+
+
+def read_rv(path):
+    """(labels, values) of a `period,rv` CSV that write_rv_csv wrote."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return tuple(r[0] for r in rows), np.array([float(r[1]) for r in rows])
+
+
+def line_loop(path):
+    """read_price_csv as it was before its one-pass reader: the oracle.  Its
+    timestamps go through _parse_timestamp, which the one-pass reader never calls."""
+    lines = path.read_text().splitlines()
+    if not lines or lines[0].strip().lower() != "timestamp,price":
+        raise DataError(f"{path}: expected header 'timestamp,price'")
+    ts, px = [], []
+    epoch_style = None
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        tok = parts[0].strip()
+        is_epoch = tok.lstrip("-").isdigit()
+        if epoch_style is None:
+            epoch_style = is_epoch
+        elif epoch_style != is_epoch:
+            raise DataError(f"{path}:{lineno}: mixed timestamp styles in one file")
+        ts.append(_parse_timestamp(tok))
+        try:
+            p = float(parts[1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: unparseable price {parts[1]!r}") from exc
+        if not math.isfinite(p):
+            raise DataError(f"{path}:{lineno}: price must be finite")
+        px.append(p)
+    return PriceSeries(np.array(ts, dtype=np.int64), np.array(px))
+
+
+def assert_reads_as_line_loop(path):
+    """read_price_csv gives the oracle's bytes, or the oracle's DataError message."""
+    try:
+        want = line_loop(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read_price_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    got = read_price_csv(path)
+    assert got.timestamps.tobytes() == want.timestamps.tobytes()
+    assert got.prices.tobytes() == want.prices.tobytes()
+
+
+BAD_TIMESTAMPS = ["1.0", "1_000", "1e3", "#", "", "-", "--5", "0x10", "\u0661\u0662", "\uff11"]
+BAD_PRICES = ["nan", "-inf", "inf", "1e400", "1e-400", "#", "", "1_0", "0", "-1.5",
+              "\u0661.\u0665", "0x10", "1,5"]
+PADDING = ["\x1f", "\xa0", "\u3000"]
+
+
+def iso_text(t, suffix):
+    return datetime.fromtimestamp(t, timezone.utc).replace(tzinfo=None).isoformat() + suffix
+
+
+@st.composite
+def price_csv_texts(draw):
+    """Clean epoch-style `timestamp,price` text, then up to three edits: `+`
+    signs, padding, bad tokens, ISO timestamps, blank lines and extra fields.
+    The whole file may instead be ISO-style, and the line endings vary."""
+    t = draw(st.integers(-10**4, 10**9))
+    blank = st.sampled_from(["", "", " ", "\t "])
+    rows = []
+    for _ in range(draw(st.sampled_from([0, 1] + [2, 3, 4, 6] * 3))):
+        t += draw(st.integers(-1, 3600))
+        p = draw(st.floats(min_value=1e-3, max_value=1e6))
+        price = draw(st.sampled_from([repr(p), f"{p:.3f}", f"{p:e}", f"00{p}"]))
+        tokens = ("0" * draw(st.integers(0, 2)) + str(t) if t >= 0 else str(t),
+                  price.replace("e+", draw(st.sampled_from(["e", "E"]))))
+        rows.append([draw(blank) + tok + draw(blank) for tok in tokens])
+    if draw(st.integers(0, 5)) == 0:
+        for row in rows:
+            row[0] = iso_text(int(row[0]), draw(st.sampled_from(["", "Z", "+00:00"])))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        edit = draw(st.sampled_from(["sign", "sign", "pad", "pad", "bad", "iso", "blank", "field"]))
+        field = draw(st.integers(0, 1))
+        if edit == "sign":
+            row[field] = "+" + row[field]
+        elif edit == "pad":
+            pad = draw(st.sampled_from(PADDING))
+            row[field] = draw(st.sampled_from([pad + row[field], row[field] + pad]))
+        elif edit == "bad":
+            row[field] = draw(st.sampled_from(BAD_PRICES if field else BAD_TIMESTAMPS))
+        elif edit == "iso" and row[0].strip().lstrip("-").isdigit():
+            row[0] = iso_text(int(row[0]), draw(st.sampled_from(["", "Z"])))
+        elif edit == "blank":
+            row[1] += draw(st.sampled_from(["\n", "\n \n", "\n\t"]))
+        elif edit == "field":
+            row.append(draw(st.sampled_from(["", "1"])))
+    header = draw(st.sampled_from(["timestamp,price"] * 12 + [" Timestamp,Price\t", "timestamp;price", ""]))
+    text = "\n".join([header] + [",".join(row) for row in rows]) + draw(st.sampled_from(["\n", ""]))
+    return text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
+
+
+@pytest.fixture(scope="class")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "prices.csv"
+
+
+class TestReadPriceCsvMatchesLineLoop:
+    @given(text=price_csv_texts())
+    @settings(max_examples=600, deadline=None)
+    def test_generated_files(self, csv_path, text):
+        csv_path.write_bytes(text.encode("utf-8"))
+        assert_reads_as_line_loop(csv_path)
+
+    @pytest.mark.parametrize("body", [
+        "0,100.0\n60,101.0\n",
+        "0,100.0\n+60,101.0\n",
+        "+0,100.0\n60,101.0\n",
+        "0,100.0\n60,+101.0\n",
+        "0,100.0\n60,101.0\x1f\n",
+        "0,100.0\n1.0,101.0\n",
+        "0,100.0\n1_000,101.0\n",
+        "0,100.0\n60,nan\n",
+        "0,100.0\n60,1e400\n",
+        "0,100.0\n#60,101.0\n",
+        "0,100.0\n60,101.0,1\n",
+        "0,100.0\n \n\t\n60,101.0",
+        "0,100.0\r\n60,101.0\r\n",
+        "0,100.0\n",
+        "",
+        "\u0660,100.0\n\u0661,101.0\n",
+        "0,100.0\n60,-1.0\n",
+        "60,100.0\n0,101.0\n",
+        "1577836800,100.0\n2020-01-01T00:01:00,101.0\n",
+        "2020-01-01T00:00:00,100.0\n1577836860,101.0\n",
+        "2020-01-01T00:00:00,100.0\n2020-01-01T00:01:00.5,101.0\n",
+    ])
+    def test_known_inputs(self, tmp_path, body):
+        path = tmp_path / "prices.csv"
+        path.write_text("timestamp,price\n" + body)
+        assert_reads_as_line_loop(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("0,100.0\n1.5,101.0\n2,102.0\n", "prices.csv:3: mixed timestamp styles"),
+        ("0,100.0\n99999999999999999999,101.0\n", "prices.csv:3: timestamp 9+ outside the int64"),
+    ])
+    def test_loadtxt_warning_falls_back_to_line_loop(self, tmp_path, monkeypatch, body, message):
+        # numpy releases that still parse a failed integer field through float
+        # return a table and only warn; the line loop must decide such files
+        def lenient_loadtxt(rows, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return np.zeros(len(rows), dtype=dtype)
+
+        path = tmp_path / "prices.csv"
+        path.write_text("timestamp,price\n" + body)
+        monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+        with pytest.raises(DataError, match=message):
+            read_price_csv(path)
