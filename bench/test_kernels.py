@@ -11,7 +11,7 @@ import pytest
 from volforge.classical import (ArimaModel, _css_residuals, _pacf_to_coeffs, arima_path,
                                 ewma_forecasts, har_fit, har_path)
 from volforge.garch import variance_path
-from volforge.rnn import RnnConfig, init_weights, rnn_backward, rnn_forward
+from volforge.rnn import RnnConfig, init_weights, rnn_backward, rnn_forward, rnn_train
 from volforge.series import log_returns, read_price_csv, realized_volatility, write_price_csv
 from volforge.synth import GbmSpec, simulate_gbm, simulate_log_vol_cascade
 
@@ -99,3 +99,15 @@ def test_rnn_backward(benchmark, cell, window):
     _, cache = rnn_forward(x, w, cfg)
     grads = benchmark(rnn_backward, np.full(32, 1.0 / 32), cache, w, cfg)
     assert set(grads) == set(w)
+
+
+# one window candidate of the rnn_gbm workload: 96 training points, 5 epochs
+# of batches of 32 (the last one ragged), default units and optimizer
+@pytest.mark.parametrize("window", [5, 22, 40])
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_rnn_train(benchmark, cell, window):
+    train = simulate_log_vol_cascade(-0.4, 0.35, 0.3, 0.25, noise_sd=0.3,
+                                     length=96, seed=0).rv
+    cfg = RnnConfig(cell=cell, window=window, units=10, epochs=5, seed=0)
+    model = benchmark(rnn_train, train, cfg)
+    assert len(model.training_loss_curve) == 5

@@ -15,8 +15,12 @@ LSTM_GATES = ("f", "i", "C", "o")
 GRU_GATES = ("z", "r", "h")
 
 
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-x)), written into ``out`` when one is given."""
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def init_weights(config: RnnConfig, rng=None) -> dict:

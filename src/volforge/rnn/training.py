@@ -53,7 +53,7 @@ def loss_and_grad(yhat, y, kind):
 
 
 def clip_gradients(grads, max_norm=GRAD_CLIP_NORM):
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if total > max_norm and total > 0:
         scale = max_norm / total
         return {k: g * scale for k, g in grads.items()}, total
@@ -61,35 +61,45 @@ def clip_gradients(grads, max_norm=GRAD_CLIP_NORM):
 
 
 class _Optimizer:
-    def __init__(self, kind, lr):
+    """SGD, RMSprop or Adam over one flat parameter buffer, updated in place."""
+
+    def __init__(self, kind, lr, size):
         self.kind = kind
         self.lr = lr
-        self.state = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, weights, grads):
+    def step(self, w, g):
         self.t += 1
-        for k, g in grads.items():
-            w = weights[k]
-            if self.kind == "sgd":
-                weights[k] = w - self.lr * g
-            elif self.kind == "rmsprop":
-                v = self.state.setdefault(k, np.zeros_like(g))
-                v *= RMSPROP_RHO
-                v += (1 - RMSPROP_RHO) * g * g
-                weights[k] = w - self.lr * g / (np.sqrt(v) + RMSPROP_EPS)
-            elif self.kind == "adam":
-                m = self.state.setdefault(k + ".m", np.zeros_like(g))
-                v = self.state.setdefault(k + ".v", np.zeros_like(g))
-                m *= ADAM_BETA1
-                m += (1 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1 - ADAM_BETA2) * g * g
-                mhat = m / (1 - ADAM_BETA1 ** self.t)
-                vhat = v / (1 - ADAM_BETA2 ** self.t)
-                weights[k] = w - self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-            else:
-                raise DataError(f"unknown optimizer {self.kind!r}")
+        if self.kind == "sgd":
+            w -= self.lr * g
+        elif self.kind == "rmsprop":
+            v = self.v
+            v *= RMSPROP_RHO
+            v += (1 - RMSPROP_RHO) * g * g
+            w -= self.lr * g / (np.sqrt(v) + RMSPROP_EPS)
+        elif self.kind == "adam":
+            m, v = self.m, self.v
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            mhat = m / (1 - ADAM_BETA1 ** self.t)
+            vhat = v / (1 - ADAM_BETA2 ** self.t)
+            w -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        else:
+            raise DataError(f"unknown optimizer {self.kind!r}")
+
+
+def _flat_views(weights):
+    """One buffer holding every tensor, and a dict of views into it in the same key order."""
+    flat = np.concatenate(list(weights.values()), axis=None)
+    views, start = {}, 0
+    for k, w in weights.items():
+        views[k] = flat[start:start + w.size].reshape(w.shape)
+        start += w.size
+    return flat, views
 
 
 def build_supervised_pairs(scaled: np.ndarray, window: int):
@@ -110,10 +120,10 @@ def rnn_train(train, config: RnnConfig, scaler: MinMaxScaler | None = None) -> T
     scaled = scaler.transform(values)
     x_all, y_all = build_supervised_pairs(scaled, config.window)
     rng = np.random.default_rng(config.seed)
-    weights = init_weights(config, rng)
+    flat, weights = _flat_views(init_weights(config, rng))
     shuffle_rng = np.random.default_rng(config.seed + 1)
     dropout_rng = np.random.default_rng(config.seed + 2)
-    opt = _Optimizer(config.optimizer, config.learning_rate)
+    opt = _Optimizer(config.optimizer, config.learning_rate, flat.size)
     curve = []
     n = len(y_all)
     for epoch in range(config.epochs):
@@ -130,7 +140,7 @@ def rnn_train(train, config: RnnConfig, scaler: MinMaxScaler | None = None) -> T
                 raise FitError(f"non-finite loss at epoch {epoch}, batch {n_batches}")
             grads = rnn_backward(dy, cache, weights, config)
             grads, _ = clip_gradients(grads)
-            opt.step(weights, grads)
+            opt.step(flat, np.concatenate([grads[k] for k in weights], axis=None))
             epoch_loss += loss
             n_batches += 1
         curve.append(epoch_loss / n_batches)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from volforge.errors import ConfigError, DataError
+from volforge.rnn import training
 from volforge.rnn.cells import GRU_GATES, LSTM_GATES, init_weights, sigmoid
 from volforge.rnn.config import RnnConfig
 from volforge.rnn.network import rnn_backward, rnn_forward
@@ -359,6 +360,110 @@ class TestUnrollOracle:
         assert list(grads) == list(want)
         for k in want:
             assert grads[k].tobytes() == want[k].tobytes(), k
+
+
+# rnn_train as it was before the flat parameter buffer: one dict entry per
+# tensor, clipped and stepped one tensor at a time.  The oracle of rnn_train.
+
+def dict_clip_gradients(grads, max_norm=5.0):
+    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if total > max_norm and total > 0:
+        scale = max_norm / total
+        return {k: g * scale for k, g in grads.items()}, total
+    return grads, total
+
+
+class DictOptimizer:
+    def __init__(self, kind, lr):
+        self.kind = kind
+        self.lr = lr
+        self.state = {}
+        self.t = 0
+
+    def step(self, weights, grads):
+        self.t += 1
+        for k, g in grads.items():
+            w = weights[k]
+            if self.kind == "sgd":
+                weights[k] = w - self.lr * g
+            elif self.kind == "rmsprop":
+                v = self.state.setdefault(k, np.zeros_like(g))
+                v *= 0.9
+                v += (1 - 0.9) * g * g
+                weights[k] = w - self.lr * g / (np.sqrt(v) + 1e-8)
+            else:
+                m = self.state.setdefault(k + ".m", np.zeros_like(g))
+                v = self.state.setdefault(k + ".v", np.zeros_like(g))
+                m *= 0.9
+                m += (1 - 0.9) * g
+                v *= 0.999
+                v += (1 - 0.999) * g * g
+                mhat = m / (1 - 0.9 ** self.t)
+                vhat = v / (1 - 0.999 ** self.t)
+                weights[k] = w - self.lr * mhat / (np.sqrt(vhat) + 1e-8)
+
+
+def dict_rnn_train(train, config):
+    """Weights and loss curve of the per-tensor training loop."""
+    scaler = MinMaxScaler.fit(train)
+    x_all, y_all = build_supervised_pairs(scaler.transform(train), config.window)
+    weights = init_weights(config, np.random.default_rng(config.seed))
+    shuffle_rng = np.random.default_rng(config.seed + 1)
+    dropout_rng = np.random.default_rng(config.seed + 2)
+    opt = DictOptimizer(config.optimizer, config.learning_rate)
+    curve = []
+    n = len(y_all)
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(n)
+        epoch_loss, n_batches = 0.0, 0
+        for b0 in range(0, n, config.batch_size):
+            sel = order[b0:b0 + config.batch_size]
+            yhat, cache = rnn_forward(x_all[sel], weights, config,
+                                      training=config.dropout > 0, dropout_rng=dropout_rng)
+            loss, dy = loss_and_grad(yhat, y_all[sel], config.loss)
+            grads, _ = dict_clip_gradients(rnn_backward(dy, cache, weights, config))
+            opt.step(weights, grads)
+            epoch_loss += loss
+            n_batches += 1
+        curve.append(epoch_loss / n_batches)
+    return weights, tuple(curve)
+
+
+class TestTrainingOracle:
+    """rnn_train's flat buffer trains bit-identically to the per-tensor loop."""
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd", "rmsprop"])
+    @pytest.mark.parametrize("activation", ["linear", "relu", "tanh"])
+    def test_matches_per_tensor_loop(self, monkeypatch, cell, layers, dropout, optimizer,
+                                     activation):
+        masks = []
+
+        def recording_forward(windows, weights, config, **kwargs):
+            yhat, cache = rnn_forward(windows, weights, config, **kwargs)
+            masks.extend((len(windows), m.shape) for _, m in cache["layers"] if m is not None)
+            return yhat, cache
+
+        monkeypatch.setattr(training, "rnn_forward", recording_forward)
+        # 17 and 21 pairs in batches of 8 leave last batches of 1 and 5 rows;
+        # a learning rate of 0.5 makes the gradient clip fire in some of the runs
+        for n_pairs, lr in ((17, 0.5), (21, 0.01)):
+            cfg = RnnConfig(cell=cell, layers=layers, dropout=dropout, optimizer=optimizer,
+                            activation=activation, units=5, window=4, epochs=2, batch_size=8,
+                            learning_rate=lr, seed=n_pairs)
+            data = simulate_log_vol_cascade(-0.4, 0.35, 0.3, 0.25, noise_sd=0.3,
+                                            length=cfg.window + n_pairs, seed=n_pairs).rv
+            model = rnn_train(data, cfg)
+            want, curve = dict_rnn_train(data, cfg)
+            assert list(model.weights) == list(want)
+            for k in want:
+                assert model.weights[k].tobytes() == want[k].tobytes(), k
+            assert model.training_loss_curve == curve
+        if dropout:
+            assert {shape for _, shape in masks} >= {(1, 4, 5), (5, 4, 5), (8, 4, 5)}
+            assert all(shape == (b, 4, 5) for b, shape in masks)
 
 
 class TestLossAndGrad:
