@@ -54,6 +54,14 @@ def test_css_residuals(benchmark, n, p, q):
     assert len(a) == n - p
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pacf_to_coeffs(benchmark, k):
+    # one AR or MA block of an ARIMA objective evaluation, orders up to 3
+    u = np.random.default_rng(2).standard_normal(k) * 3
+    phi = benchmark(_pacf_to_coeffs, u)
+    assert len(phi) == k
+
+
 def test_variance_path(benchmark):
     # 89 returns: the GJR fit's training window in the classical_cascade workload
     r = np.random.default_rng(1).standard_normal(89) * 0.01

@@ -22,17 +22,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, FitError
+from .evaluation import error_metric
 from .series import aggregate_log_rv
 from .simplex import minimize_simplex
 
-
-def _loss(metric: str, actual: np.ndarray, predicted: np.ndarray) -> float:
-    err = np.asarray(actual, dtype=float) - np.asarray(predicted, dtype=float)
-    if metric == "MSE":
-        return float(np.mean(err * err))
-    if metric == "MAE":
-        return float(np.mean(np.abs(err)))
-    raise DataError(f"unknown selection metric {metric!r}, expected MSE or MAE")
+EWMA_GRID = tuple(np.round(np.arange(0.01, 1.00, 0.01), 2))   # alpha candidates
+HAR_LAGS = (1, 5, 22)   # daily, weekly and monthly horizons in trading days
 
 
 def argmin_search(candidates, evaluate, failure: str):
@@ -119,7 +114,7 @@ def ewma_path(model: EwmaModel, values, start: int, stop: int) -> np.ndarray:
     return ewma_forecasts(values[:stop], model.alpha, model.sigma2_0)[start:stop]
 
 
-def ewma_fit(train, valid, metric: str = "MSE", grid=None) -> EwmaModel:
+def ewma_fit(train, valid, metric: str = "MSE", grid=EWMA_GRID) -> EwmaModel:
     """Grid-search alpha against 1-step forecasts on the validation window.
 
     Ties break toward the smaller alpha; sigma2_0 is the mean squared
@@ -129,8 +124,6 @@ def ewma_fit(train, valid, metric: str = "MSE", grid=None) -> EwmaModel:
     valid = np.asarray(valid, dtype=float)
     if len(valid) == 0:
         raise DataError("ewma_fit needs a non-empty validation window")
-    if grid is None:
-        grid = np.round(np.arange(0.01, 1.00, 0.01), 2)
     grid = sorted(float(a) for a in grid)
     for a in grid:
         if not (0 < a <= 1):
@@ -141,7 +134,7 @@ def ewma_fit(train, valid, metric: str = "MSE", grid=None) -> EwmaModel:
     full = np.concatenate([train, valid])
 
     def evaluate(a):
-        return a, _loss(metric, valid, ewma_forecasts(full, a, sigma2_0)[len(train):])
+        return a, error_metric(metric, valid, ewma_forecasts(full, a, sigma2_0)[len(train):])
 
     alpha, log = argmin_search(grid, evaluate, "no alpha candidate could be evaluated")
     return EwmaModel(alpha, sigma2_0, search_log=log)
@@ -199,7 +192,7 @@ def har_design(values, lags):
     return X, y
 
 
-def har_fit(train, lags=(1, 5, 22)) -> HarModel:
+def har_fit(train, lags=HAR_LAGS) -> HarModel:
     """OLS of next-step log rv on averaged log rv over the three horizons.
 
     Solved via the normal equations with a pseudo-inverse fallback when the
@@ -249,7 +242,7 @@ def har_forecast(model: HarModel, history) -> float:
     return float(har_path(model, history, len(history), len(history) + 1)[0])
 
 
-def har_lag_search(train, valid, metric: str = "MSE", lag_grid=None) -> HarModel:
+def har_lag_search(train, valid, metric: str, lag_grid) -> HarModel:
     """Refit per (d, w, m) candidate, pick the validation-metric argmin.
 
     Ties break toward the lexicographically smallest lag triple.  Candidates
@@ -257,13 +250,11 @@ def har_lag_search(train, valid, metric: str = "MSE", lag_grid=None) -> HarModel
     """
     train = np.asarray(train, dtype=float)
     valid = np.asarray(valid, dtype=float)
-    if lag_grid is None:
-        lag_grid = default_har_lag_grid()
     full = np.concatenate([train, valid])
 
     def evaluate(lags):
         model = har_fit(train, lags)
-        return model, _loss(metric, valid, har_path(model, full, len(train), len(full)))
+        return model, error_metric(metric, valid, har_path(model, full, len(train), len(full)))
 
     best, log = argmin_search(sorted(tuple(l) for l in lag_grid), evaluate,
                               "no HAR lag candidate could be fitted")
@@ -310,15 +301,12 @@ def _pacf_to_coeffs(u: np.ndarray) -> np.ndarray:
 
     tanh squashes to partial autocorrelations, then the Durbin-Levinson
     recursion expands them; the image is exactly the stationary region.
+    Runs over Python floats, but keeps ``np.tanh``: ``math.tanh`` may differ in the last bit.
     """
-    r = np.tanh(u)
-    k = len(r)
-    phi = np.zeros(k)
-    for j in range(k):
-        prev = phi[:j].copy()
-        phi[j] = r[j]
-        phi[:j] = prev - r[j] * prev[::-1]
-    return phi
+    phi = []
+    for r in np.tanh(u).tolist():
+        phi = [p - r * q for p, q in zip(phi, reversed(phi))] + [r]
+    return np.array(phi, dtype=float)
 
 
 def _css_residuals(z: np.ndarray, c: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import synth
 from .errors import ConfigError, DataError, FitError
 from .rnn import RnnConfig, rnn_gradient_check
-from .runner import parse_config, run_experiment
+from .runner import CONFIG_KEYS, parse_config, run_experiment
 from .series import log_returns, read_price_csv, realized_volatility, write_price_csv, write_rv_csv
 
 EXIT_OK = 0
@@ -53,7 +53,7 @@ def _load_config(args):
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if getattr(args, "models", None):
-        config = replace(config, models=tuple(m.strip() for m in args.models.split(",")))
+        config = replace(config, models=CONFIG_KEYS["models"][1](args.models))
     return config
 
 

@@ -9,7 +9,7 @@ each model's last forecast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import norm
@@ -26,7 +26,6 @@ class ForecastRecord:
     model_id: str
     actual: np.ndarray
     predicted: np.ndarray
-    horizon: int = 1
 
     def __post_init__(self):
         a = np.asarray(self.actual, dtype=float)
@@ -46,15 +45,25 @@ class ForecastRecord:
         return len(self.actual)
 
 
+def error_metric(metric: str, actual, predicted) -> float:
+    """Mean squared ("MSE") or absolute ("MAE") error, for reports and selection searches."""
+    e = np.asarray(actual, dtype=float) - np.asarray(predicted, dtype=float)
+    if metric == "MSE":
+        return float(np.mean(e * e))
+    if metric == "MAE":
+        return float(np.mean(np.abs(e)))
+    raise DataError(f"unknown selection metric {metric!r}, expected MSE or MAE")
+
+
 def point_metrics(rec: ForecastRecord, want_mape: bool = True) -> dict:
     """MSE, RMSE, MAE and (when all actuals are nonzero) MAPE."""
-    e = rec.actual - rec.predicted
-    mse = float(np.mean(e * e))
-    out = {"MSE": mse, "RMSE": math.sqrt(mse), "MAE": float(np.mean(np.abs(e)))}
+    mse = error_metric("MSE", rec.actual, rec.predicted)
+    out = {"MSE": mse, "RMSE": math.sqrt(mse), "MAE": error_metric("MAE", rec.actual, rec.predicted)}
     if want_mape:
         if np.any(rec.actual == 0):
             raise DataError("MAPE undefined: actual contains zeros "
                             "(other metrics available with want_mape=False)")
+        e = rec.actual - rec.predicted
         out["MAPE"] = float(100.0 * np.mean(np.abs(e) / np.abs(rec.actual)))
     return out
 
@@ -133,7 +142,7 @@ class ReportRow:
     mape: float            # nan when actuals contain zeros
     dm_squared: object     # DmResult or None for the reference model
     dm_absolute: object
-    var_10d: float
+    var_10d: float         # nan when the last forecast is negative
     best_mse: bool = False
     best_mae: bool = False
 
@@ -147,7 +156,7 @@ class EvalReport:
 
 def build_report(records, reference: str, failures=()) -> EvalReport:
     """One row per model, DM columns against the reference model, and the
-    10-day 95% VaR of each model's last forecast.
+    10-day 95% VaR of each model's last forecast, nan when it is negative.
 
     All records must share an identical evaluation window (same actuals).
     """
@@ -176,15 +185,13 @@ def build_report(records, reference: str, failures=()) -> EvalReport:
                 dm_abs = dm_test(rec, ref, loss="absolute")
             except DataError:
                 dm_abs = None
+        last = float(rec.predicted[-1])
         rows.append(ReportRow(rec.model_id, m["MSE"], m["RMSE"], m["MAE"],
                               m.get("MAPE", math.nan), dm_sq, dm_abs,
-                              var_estimate(float(rec.predicted[-1]), 10, 0.95)))
+                              var_estimate(last, 10, 0.95) if last >= 0 else math.nan))
     best_mse = min(r.mse for r in rows)
     best_mae = min(r.mae for r in rows)
-    rows = [ReportRow(r.model_id, r.mse, r.rmse, r.mae, r.mape, r.dm_squared,
-                      r.dm_absolute, r.var_10d,
-                      best_mse=r.mse == best_mse, best_mae=r.mae == best_mae)
-            for r in rows]
+    rows = [replace(r, best_mse=r.mse == best_mse, best_mae=r.mae == best_mae) for r in rows]
     return EvalReport(tuple(rows), reference, tuple(failures))
 
 
@@ -202,9 +209,10 @@ def report_csv(report: EvalReport) -> str:
         sq_s, sq_p = _fmt_dm(r.dm_squared)
         ab_s, ab_p = _fmt_dm(r.dm_absolute)
         mape = "" if math.isnan(r.mape) else f"{r.mape:.6f}"
+        var = "" if math.isnan(r.var_10d) else f"{r.var_10d:.6f}"
         lines.append(
             f"{r.model_id},{r.mse * 1e5:.6f},{r.rmse * 1e3:.6f},{r.mae * 1e3:.6f},"
-            f"{mape},{sq_s},{sq_p},{ab_s},{ab_p},{r.var_10d:.6f},"
+            f"{mape},{sq_s},{sq_p},{ab_s},{ab_p},{var},"
             f"{int(r.best_mse)},{int(r.best_mae)}")
     for model_id, reason in report.failures:
         lines.append(f"{model_id},FAILED: {reason},,,,,,,,,,")
@@ -221,9 +229,9 @@ def report_text(report: EvalReport) -> str:
         ab_s, ab_p = _fmt_dm(r.dm_absolute)
         flag = "*" if r.best_mse or r.best_mae else ""
         mape = "--" if math.isnan(r.mape) else f"{r.mape:.4f}"
+        var = "--" if math.isnan(r.var_10d) else f"{r.var_10d:.4f}"
         table.append([r.model_id + flag, f"{r.mse * 1e5:.4f}", f"{r.rmse * 1e3:.4f}",
-                      f"{r.mae * 1e3:.4f}", mape, sq_s, sq_p, ab_s, ab_p,
-                      f"{r.var_10d:.4f}"])
+                      f"{r.mae * 1e3:.4f}", mape, sq_s, sq_p, ab_s, ab_p, var])
     for model_id, reason in report.failures:
         table.append([model_id, f"FAILED: {reason}"] + [""] * 8)
     widths = [max(len(row[i]) if i < len(row) else 0 for row in table)

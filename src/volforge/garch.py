@@ -103,7 +103,7 @@ def _softmax3(a, b):
     return ea / s, eb / s
 
 
-def _unpack(x, flavor, include_gamma):
+def _unpack(x, include_gamma):
     # x = [log omega, persistence logit, share logits...]
     omega = math.exp(x[0])
     s = _MAX_PERSISTENCE * _sigmoid(x[1])
@@ -134,7 +134,7 @@ def garch_fit(returns, flavor: str = "garch") -> GarchModel:
     include_gamma = flavor == "gjr"
 
     def neg_ll(x):
-        omega, alpha, beta, gamma = _unpack(x, flavor, include_gamma)
+        omega, alpha, beta, gamma = _unpack(x, include_gamma)
         try:
             return -garch_loglik((omega, alpha, beta, gamma, mu), r, var)
         except (FitError, OverflowError):
@@ -154,7 +154,7 @@ def garch_fit(returns, flavor: str = "garch") -> GarchModel:
     if f_best >= 1e12:
         raise FitError("GARCH fit failed to reach a finite likelihood",
                        diagnostics={"x": list(x_best), "neg_ll": f_best})
-    omega, alpha, beta, gamma = _unpack(x_best, flavor, include_gamma)
+    omega, alpha, beta, gamma = _unpack(x_best, include_gamma)
     ll = garch_loglik((omega, alpha, beta, gamma, mu), r, var)
     return GarchModel(omega, alpha, beta, gamma, mu, ll, flavor)
 

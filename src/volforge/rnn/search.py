@@ -12,16 +12,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..classical import _loss, argmin_search
+from ..classical import argmin_search
 from ..errors import DataError
+from ..evaluation import error_metric
 from .config import RnnConfig
 from .training import TrainedRnn, rnn_forecast_path, rnn_train
+
+WINDOW_GRID = tuple(range(1, 51))   # every window RnnConfig accepts
 
 
 def validation_metric(model: TrainedRnn, train, valid, metric: str) -> float:
     full = np.concatenate([np.asarray(train, dtype=float), np.asarray(valid, dtype=float)])
     fc = rnn_forecast_path(model, full, len(train), len(full))
-    return _loss(metric, valid, fc)
+    return error_metric(metric, valid, fc)
 
 
 def _trained(train, valid, metric):
@@ -32,15 +35,13 @@ def _trained(train, valid, metric):
     return evaluate
 
 
-def window_search(train, valid, base_config: RnnConfig, window_grid=None,
+def window_search(train, valid, base_config: RnnConfig, window_grid=WINDOW_GRID,
                   metric: str = "MSE") -> TrainedRnn:
     """Train one model per window size, return the validation argmin.
 
     Ties break toward the smaller window; the full (window -> metric) curve
     is recorded in ``search_log``.
     """
-    if window_grid is None:
-        window_grid = range(1, 51)
     configs = [replace(base_config, window=w) for w in sorted(int(w) for w in window_grid)]
     best, log = argmin_search(configs, _trained(train, valid, metric),
                               "every window candidate failed to train")

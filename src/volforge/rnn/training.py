@@ -52,10 +52,10 @@ def loss_and_grad(yhat, y, kind):
     raise DataError(f"unknown loss {kind!r}")
 
 
-def clip_gradients(grads, max_norm=GRAD_CLIP_NORM):
+def clip_gradients(grads):
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
+    if total > GRAD_CLIP_NORM and total > 0:
+        scale = GRAD_CLIP_NORM / total
         return {k: g * scale for k, g in grads.items()}, total
     return grads, total
 
@@ -109,14 +109,13 @@ def build_supervised_pairs(scaled: np.ndarray, window: int):
     return sliding_window_view(scaled, window)[:n - window], scaled[window:]
 
 
-def rnn_train(train, config: RnnConfig, scaler: MinMaxScaler | None = None) -> TrainedRnn:
-    """Minimize the configured loss by BPTT over (window -> next) pairs."""
+def rnn_train(train, config: RnnConfig) -> TrainedRnn:
+    """Minimize the configured loss by BPTT over min-max scaled (window -> next) pairs."""
     values = np.asarray(train, dtype=float)
     if len(values) <= config.window + 10:
         raise DataError(
             f"training series of length {len(values)} too short for window {config.window}")
-    if scaler is None:
-        scaler = MinMaxScaler.fit(values)
+    scaler = MinMaxScaler.fit(values)
     scaled = scaler.transform(values)
     x_all, y_all = build_supervised_pairs(scaled, config.window)
     rng = np.random.default_rng(config.seed)
@@ -159,12 +158,13 @@ def rnn_forecast_path(model: TrainedRnn, values, start: int, stop: int) -> np.nd
     return model.scaler.invert(yhat)
 
 
-def rnn_gradient_check(config: RnnConfig, step=1e-6) -> float:
+def rnn_gradient_check(config: RnnConfig) -> float:
     """Max relative error of analytic BPTT gradients vs central differences.
 
     Every parameter of every tensor is perturbed; dropout is forced off so
     the objective is deterministic.
     """
+    step = 1e-6
     if config.dropout != 0:
         config = replace(config, dropout=0.0)
     rng = np.random.default_rng(config.seed)

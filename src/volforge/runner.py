@@ -29,7 +29,7 @@ from . import __version__, classical, garch, synth
 from .errors import ConfigError, DataError, FitError, VolforgeError
 from .evaluation import ForecastRecord, build_report, report_csv, report_text
 from .rnn import RnnConfig, rnn_forecast_path, window_search
-from .rnn.search import search_log_csv
+from .rnn.search import WINDOW_GRID, search_log_csv
 from .series import (AGGREGATIONS, RVSeries, SplitSpec, apply_zero_floor, calendar_buckets,
                      log_returns, read_price_csv, realized_volatility, split)
 
@@ -74,7 +74,7 @@ def _on_values(path):
 def _fit_ewma(config, data):
     model = classical.ewma_fit(data.train, data.valid, config.metric, config.ewma_grid)
     refit = classical.EwmaModel(model.alpha, float(np.mean(data.trainval ** 2)))
-    return model, refit, model.dump(), None
+    return model, refit, refit.dump(), None
 
 
 def _fit_har(config, data, search):
@@ -158,12 +158,12 @@ class ExperimentConfig:
     metric: str = "MSE"
     seed: int = 0
     reference: str = ""                   # default: last enabled model
-    ewma_grid: tuple = tuple(np.round(np.arange(0.01, 1.00, 0.01), 2))
-    har_lags: tuple = (1, 5, 22)
+    ewma_grid: tuple = classical.EWMA_GRID
+    har_lags: tuple = classical.HAR_LAGS
     har_grid: tuple = ()                  # empty -> default grid
     arima_orders: tuple = tuple((p, d, q) for p in range(4) for d in range(2)
                                 for q in range(4))
-    rnn_windows: tuple = tuple(range(1, 51))
+    rnn_windows: tuple = WINDOW_GRID
     rnn_units: int = 10
     rnn_layers: int = 1
     rnn_epochs: int = 50
@@ -186,6 +186,8 @@ class ExperimentConfig:
             raise ConfigError("data.source=csv requires data.csv=<path>")
         if self.metric not in ("MSE", "MAE"):
             raise ConfigError("selection.metric must be MSE or MAE")
+        if self.reference and self.reference not in self.models:
+            raise ConfigError(f"reference model {self.reference!r} not enabled")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError(f"data.aggregation must be one of {AGGREGATIONS}, "
                               f"got {self.aggregation!r}")
@@ -218,10 +220,7 @@ class ExperimentConfig:
 
     @property
     def reference_model(self) -> str:
-        ref = self.reference or self.models[-1]
-        if ref not in self.models:
-            raise ConfigError(f"reference model {ref!r} not enabled")
-        return ref
+        return self.reference or self.models[-1]
 
     def hash(self) -> str:
         """sha256 of the fields as JSON, numpy scalars as plain Python values,
@@ -449,8 +448,8 @@ def _versions():
             ("numpy", np.__version__), ("scipy", scipy.__version__))
 
 
-def emit_plot_data(records, periods, out_dir, suffix=""):
-    """Per-model CSV of (period, actual, predicted) for external plotting."""
+def emit_plot_data(records, periods, out_dir, suffix):
+    """Per-model CSV <model>_<suffix>.csv of (period, actual, predicted) for plotting."""
     records = list(records)
     if not records:
         raise DataError("no records to emit")
@@ -459,8 +458,7 @@ def emit_plot_data(records, periods, out_dir, suffix=""):
     for rec in records:
         if len(periods) != len(rec):
             raise DataError(f"{rec.model_id}: period labels do not match record length")
-        name = f"{rec.model_id}_{suffix}.csv" if suffix else f"{rec.model_id}.csv"
-        path = out_dir / name
+        path = out_dir / f"{rec.model_id}_{suffix}.csv"
         lines = ["period,actual,predicted"]
         for lbl, a, p in zip(periods, rec.actual, rec.predicted):
             lines.append(f"{lbl},{float(a)!r},{float(p)!r}")

@@ -208,8 +208,8 @@ def aggregate_log_rv(rv: np.ndarray, n: int) -> np.ndarray:
     return (c[n:] - c[:-n]) / n
 
 
-def apply_zero_floor(rv: RVSeries, train_len: int, factor: float = 1e-3) -> RVSeries:
-    """Replace zero buckets by (smallest positive training rv) * factor.
+def apply_zero_floor(rv: RVSeries, train_len: int) -> RVSeries:
+    """Replace zero buckets by (smallest positive training rv) * 1e-3.
 
     Keeps log transforms defined; the floor is learned from the training
     partition only so the mapping is leakage-safe.
@@ -221,7 +221,7 @@ def apply_zero_floor(rv: RVSeries, train_len: int, factor: float = 1e-3) -> RVSe
     positive = train[train > 0]
     if len(positive) == 0:
         raise DataError("training partition has no positive rv; cannot derive zero-floor")
-    floor = float(np.min(positive)) * factor
+    floor = float(np.min(positive)) * 1e-3
     vals[vals == 0] = floor
     return RVSeries(rv.period_labels, vals, rv.aggregation)
 

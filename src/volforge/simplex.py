@@ -14,13 +14,14 @@ from scipy.optimize import minimize
 from .errors import FitError
 
 
-def minimize_simplex(fn, x0, max_iter=None, step=0.1, tol=1e-8):
+def minimize_simplex(fn, x0, max_iter=None):
     """Nelder-Mead minimization with deterministic initialization.
 
     Returns (x_best, f_best, n_iter).  Raises FitError with best-so-far
     diagnostics when the objective is non-finite at the optimum.
     """
     x0 = np.asarray(x0, dtype=float)
+    step = 0.1   # initial simplex edge, relative to a nonzero coordinate
     k = max(len(x0), 1)
     if max_iter is None:
         max_iter = 500 * k
@@ -31,8 +32,8 @@ def minimize_simplex(fn, x0, max_iter=None, step=0.1, tol=1e-8):
         fn, x0, method="Nelder-Mead",
         options={
             "initial_simplex": simplex,
-            "xatol": tol,
-            "fatol": tol,
+            "xatol": 1e-8,
+            "fatol": 1e-8,
             "maxiter": max_iter,
             "maxfev": 4 * max_iter,
         },

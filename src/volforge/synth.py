@@ -20,6 +20,7 @@ from typing import Union
 
 import numpy as np
 
+from .classical import HAR_LAGS
 from .errors import ConfigError, DataError
 from .series import (PriceSeries, ReturnSeries, RVSeries, calendar_buckets, log_returns,
                      realized_volatility)
@@ -99,7 +100,6 @@ class GarchSimSpec:
     beta: float = 0.85
     gamma: float = 0.0
     length: int = 5000
-    burn_in: int = 500
     seed: int = 0
 
     def __post_init__(self):
@@ -107,14 +107,16 @@ class GarchSimSpec:
             raise DataError("require omega > 0 and alpha, beta, gamma >= 0")
         if self.alpha + self.beta + 0.5 * self.gamma >= 1:
             raise DataError("persistence must be < 1 for a stationary simulation")
-        if self.length < 1 or self.burn_in < 0:
-            raise DataError("length must be >= 1 and burn_in >= 0")
+        if self.length < 1:
+            raise DataError("length must be >= 1")
 
 
 def simulate_garch(spec: GarchSimSpec) -> ReturnSeries:
-    """r_t = sigma_t eps_t with the (GJR-)GARCH variance recursion."""
+    """r_t = sigma_t eps_t with the (GJR-)GARCH variance recursion, after a
+    burn-in of 500 steps from the unconditional variance."""
+    burn_in = 500
     rng = np.random.default_rng(spec.seed)
-    total = spec.length + spec.burn_in
+    total = spec.length + burn_in
     eps = rng.standard_normal(total)
     persistence = spec.alpha + spec.beta + 0.5 * spec.gamma
     sigma2 = spec.omega / (1.0 - persistence)
@@ -123,27 +125,27 @@ def simulate_garch(spec: GarchSimSpec) -> ReturnSeries:
         r[t] = math.sqrt(sigma2) * eps[t]
         shock = spec.alpha + (spec.gamma if r[t] < 0 else 0.0)
         sigma2 = spec.omega + shock * r[t] ** 2 + spec.beta * sigma2
-    r = r[spec.burn_in:]
+    r = r[burn_in:]
     ts = _EPOCH0 + _DAY * np.arange(1, len(r) + 1, dtype=np.int64)
     return ReturnSeries(ts, r)
 
 
-def simulate_log_vol_cascade(c, beta_d, beta_w, beta_m, lags=(1, 5, 22),
-                             noise_sd=0.0, length=1000, seed=0,
-                             rv0=0.01, burn_in=200, init_sd=0.0) -> RVSeries:
+def simulate_log_vol_cascade(c, beta_d, beta_w, beta_m, noise_sd=0.0, length=1000, seed=0,
+                             burn_in=200, init_sd=0.0) -> RVSeries:
     """RV series whose log follows the three-horizon autoregressive cascade.
 
     log rv_{t+1} = c + beta_d m_d(t) + beta_w m_w(t) + beta_m m_m(t) + eps,
-    where m_n(t) is the mean log rv over the last n periods.  With
-    noise_sd = 0 a fit on this series must recover the coefficients exactly;
-    set init_sd > 0 (and burn_in = 0) to seed the initial window with
-    variation so the zero-noise design is not collinear.
+    where m_n(t) is the mean log rv over the last n periods, (d, w, m) are the
+    HAR lags and the initial window sits at rv = 0.01.  With noise_sd = 0 a
+    fit on this series must recover the coefficients exactly; set init_sd > 0
+    (and burn_in = 0) to seed the initial window with variation so the
+    zero-noise design is not collinear.
     """
-    d, w, m = lags
+    d, w, m = HAR_LAGS
     rng = np.random.default_rng(seed)
     total = length + burn_in
     lrv = np.empty(total + m)
-    lrv[:m] = math.log(rv0) + init_sd * rng.standard_normal(m)
+    lrv[:m] = math.log(0.01) + init_sd * rng.standard_normal(m)
     eps = rng.standard_normal(total) * noise_sd
     for t in range(m, total + m):
         window = lrv[t - m:t]

@@ -385,6 +385,18 @@ def ewma_forecasts_loop(values, alpha, sigma2_0):
     return out
 
 
+def pacf_to_coeffs_loop(u):
+    """The Durbin-Levinson expansion over numpy arrays, one slice update per step."""
+    r = np.tanh(u)
+    k = len(r)
+    phi = np.zeros(k)
+    for j in range(k):
+        prev = phi[:j].copy()
+        phi[j] = r[j]
+        phi[:j] = prev - r[j] * prev[::-1]
+    return phi
+
+
 # unconstrained draws mapped to stationary / invertible coefficients, as in a fit
 coefficients = st.lists(st.floats(-3.0, 3.0), max_size=3).map(
     lambda u: _pacf_to_coeffs(np.array(u, dtype=float)))
@@ -392,6 +404,14 @@ series = arrays(np.float64, st.integers(12, 400), elements=st.floats(-100.0, 100
 
 
 class TestKernelsBitExact:
+    @settings(max_examples=300, deadline=None)
+    @given(u=arrays(np.float64, st.integers(0, 4),
+                    elements=st.floats(-100.0, 100.0) | st.floats(-3.0, 3.0)))
+    def test_pacf_to_coeffs(self, u):
+        got = _pacf_to_coeffs(u)
+        assert got.dtype == np.float64
+        assert got.tobytes() == pacf_to_coeffs_loop(u).tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(z=series, c=st.floats(-10.0, 10.0), phi=coefficients, theta=coefficients)
     def test_css_residuals(self, z, c, phi, theta):

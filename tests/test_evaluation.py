@@ -200,6 +200,20 @@ class TestReport:
             assert by_id[r.model_id].var_10d == pytest.approx(
                 var_estimate(float(r.predicted[-1])), abs=1e-12)
 
+    def test_negative_last_forecast_leaves_var_blank(self):
+        recs = self.records()
+        pred = recs[1].predicted.copy()
+        pred[-1] = -0.001
+        recs[1] = rec("har", recs[1].actual, pred)
+        rep = build_report(recs, reference="naive")
+        by_id = {r.model_id: r for r in rep.rows}
+        assert math.isnan(by_id["har"].var_10d)
+        assert by_id["lstm"].var_10d == var_estimate(float(recs[2].predicted[-1]))
+        har_csv = report_csv(rep).splitlines()[2].split(",")
+        assert har_csv[0] == "har" and har_csv[9] == ""
+        har_txt = report_text(rep).splitlines()[2].split()
+        assert har_txt[0].startswith("har") and har_txt[-1] == "--"
+
     def test_csv_scaling_conventions(self):
         actual = np.full(20, 0.02) + np.linspace(0, 0.001, 20)
         pred = actual + 0.00114  # MSE 1.2996e-6 -> 0.12996 in e-05 units

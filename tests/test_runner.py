@@ -187,6 +187,14 @@ class TestRunExperiment:
         assert "param.har.model=har" in text
         assert "timing.naive=" in text
 
+    def test_manifest_dumps_the_ewma_model_the_test_path_runs(self):
+        cfg = self.small_config(models=("ewma",))
+        _, _, manifest = run_experiment(cfg)
+        rv, _ = runner._load_data(cfg)
+        trainval = rv.rv[:len(rv) - cfg.test_len]
+        dump = dict(manifest.model_params)["ewma"].splitlines()
+        assert f"sigma2_0={float(np.mean(trainval ** 2))!r}" in dump
+
     def test_arima_fits_each_candidate_once_and_refits_once(self, monkeypatch):
         calls = []
         fit = classical.arima_fit
@@ -270,6 +278,38 @@ class TestCli:
                      "--models", "naive"]) == EXIT_OK
         body = (out / "test_report.csv").read_text()
         assert "naive" in body and "har" not in body
+
+    def test_models_override_parses_like_the_config(self, tmp_path):
+        base = CASCADE_CONFIG.replace("naive,har", "naive")
+        in_file = write_config(tmp_path, CASCADE_CONFIG.replace("naive,har", "naive, har,"),
+                               "in_file.cfg")
+        o1, o2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["run", "--config", str(in_file), "--out", str(o1)]) == EXIT_OK
+        assert main(["run", "--config", str(write_config(tmp_path, base)), "--out", str(o2),
+                     "--models", "naive, har,"]) == EXIT_OK
+        for name in ("validation_report.csv", "test_report.csv"):
+            assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
+        hashes = [(o / "manifest.txt").read_text().splitlines()[0] for o in (o1, o2)]
+        assert hashes[0] == hashes[1]
+
+    def test_bad_reference_exits_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        fits = []
+        for model_id, (_, path) in MODELS.items():
+            monkeypatch.setitem(MODELS, model_id, (lambda *a, m=model_id: fits.append(m), path))
+        cfg = write_config(tmp_path, CASCADE_CONFIG + "reference = ewma\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "reference model 'ewma' not enabled" in capsys.readouterr().err
+        assert fits == []
+
+    def test_negative_last_forecast_leaves_var_blank(self, tmp_path):
+        # arima's last validation forecast is negative on this cascade
+        cfg = write_config(tmp_path, "synth.kind = cascade\nsynth.length = 130\n"
+                           "synth.noise_sd = 0.3\nsplit.validation = 40\nsplit.test = 40\n"
+                           "models = naive,arima\nseed = 33\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in (out / "validation_report.csv").read_text().splitlines()]
+        assert [row[9] for row in rows if row[0] == "arima"] == [""]
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write_config(tmp_path)
