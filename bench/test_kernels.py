@@ -5,6 +5,11 @@ Run from the repository root with ``PYTHONPATH=src python -m pytest bench
 collect this directory.  Inputs are seeded, so rounds time identical work.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,9 @@ from volforge.garch import variance_path
 from volforge.rnn import RnnConfig, init_weights, rnn_backward, rnn_forward, rnn_train
 from volforge.series import log_returns, read_price_csv, realized_volatility, write_price_csv
 from volforge.synth import GbmSpec, simulate_gbm, simulate_log_vol_cascade
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +127,14 @@ def test_rnn_train(benchmark, cell, window):
     cfg = RnnConfig(cell=cell, window=window, units=10, epochs=5, seed=0)
     model = benchmark(rnn_train, train, cfg)
     assert len(model.training_loss_curve) == 5
+
+
+def test_import_cli(benchmark):
+    # a fresh interpreter importing the CLI: the import share of every verb's set-up
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = benchmark.pedantic(subprocess.run, ([sys.executable, "-c", "import volforge.cli"],),
+                              {"env": env, "capture_output": True}, rounds=5, iterations=1,
+                              warmup_rounds=1)
+    assert proc.returncode == 0, proc.stderr

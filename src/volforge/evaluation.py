@@ -12,13 +12,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
-from scipy.stats import t as student_t
+from scipy.special import ndtri, stdtr
 
 from .errors import DataError
 
 LOSSES = ("squared", "absolute")
-ALTERNATIVES = ("two_sided", "greater", "less")
 
 
 @dataclass(frozen=True)
@@ -55,14 +53,12 @@ def error_metric(metric: str, actual, predicted) -> float:
     raise DataError(f"unknown selection metric {metric!r}, expected MSE or MAE")
 
 
-def point_metrics(rec: ForecastRecord, want_mape: bool = True) -> dict:
-    """MSE, RMSE, MAE and (when all actuals are nonzero) MAPE."""
+def point_metrics(rec: ForecastRecord) -> dict:
+    """MSE, RMSE, MAE and MAPE; MAPE is nan when an actual is zero."""
     mse = error_metric("MSE", rec.actual, rec.predicted)
-    out = {"MSE": mse, "RMSE": math.sqrt(mse), "MAE": error_metric("MAE", rec.actual, rec.predicted)}
-    if want_mape:
-        if np.any(rec.actual == 0):
-            raise DataError("MAPE undefined: actual contains zeros "
-                            "(other metrics available with want_mape=False)")
+    out = {"MSE": mse, "RMSE": math.sqrt(mse), "MAE": error_metric("MAE", rec.actual, rec.predicted),
+           "MAPE": math.nan}
+    if not np.any(rec.actual == 0):
         e = rec.actual - rec.predicted
         out["MAPE"] = float(100.0 * np.mean(np.abs(e) / np.abs(rec.actual)))
     return out
@@ -73,13 +69,10 @@ class DmResult:
     statistic: float
     p_value: float
     loss: str
-    harvey_adjusted: bool
-    alternative: str
 
 
-def dm_test(rec1: ForecastRecord, rec2: ForecastRecord, loss: str = "squared",
-            alternative: str = "two_sided", harvey: bool = True) -> DmResult:
-    """Diebold-Mariano test on d_t = L(e1_t) - L(e2_t) at horizon 1.
+def dm_test(rec1: ForecastRecord, rec2: ForecastRecord, loss: str = "squared") -> DmResult:
+    """Two-sided Diebold-Mariano test on d_t = L(e1_t) - L(e2_t) at horizon 1.
 
     The long-run variance truncates at lag h-1 = 0 (plain sample variance of
     d with 1/T normalization); the Harvey small-sample factor multiplies the
@@ -87,8 +80,6 @@ def dm_test(rec1: ForecastRecord, rec2: ForecastRecord, loss: str = "squared",
     """
     if loss not in LOSSES:
         raise DataError(f"loss must be one of {LOSSES}")
-    if alternative not in ALTERNATIVES:
-        raise DataError(f"alternative must be one of {ALTERNATIVES}")
     if len(rec1) != len(rec2):
         raise DataError("records have mismatched lengths")
     if not np.array_equal(rec1.actual, rec2.actual):
@@ -108,16 +99,9 @@ def dm_test(rec1: ForecastRecord, rec2: ForecastRecord, loss: str = "squared",
         raise DataError("indistinguishable forecasts: zero variance of the loss differential")
     stat = d_bar / math.sqrt(gamma0 / t_len)
     h = 1
-    if harvey:
-        stat *= math.sqrt((t_len + 1 - 2 * h + h * (h - 1) / t_len) / t_len)
-    dof = t_len - 1
-    if alternative == "two_sided":
-        p = 2.0 * float(student_t.sf(abs(stat), dof))
-    elif alternative == "greater":
-        p = float(student_t.sf(stat, dof))
-    else:
-        p = float(student_t.cdf(stat, dof))
-    return DmResult(stat, p, loss, harvey, alternative)
+    stat *= math.sqrt((t_len + 1 - 2 * h + h * (h - 1) / t_len) / t_len)
+    p = 2.0 * float(stdtr(t_len - 1, -abs(stat)))
+    return DmResult(stat, p, loss)
 
 
 def var_estimate(sigma_forecast: float, horizon_periods: int = 10,
@@ -129,7 +113,7 @@ def var_estimate(sigma_forecast: float, horizon_periods: int = 10,
         raise DataError(f"confidence {confidence} outside (0.5, 1)")
     if horizon_periods < 1:
         raise DataError("horizon_periods must be >= 1")
-    z = float(norm.ppf(confidence))
+    z = float(ndtri(confidence))
     return z * sigma_forecast * math.sqrt(horizon_periods)
 
 
@@ -173,7 +157,7 @@ def build_report(records, reference: str, failures=()) -> EvalReport:
     ref = by_id[reference]
     rows = []
     for rec in records:
-        m = point_metrics(rec, want_mape=not np.any(rec.actual == 0))
+        m = point_metrics(rec)
         if rec.model_id == reference:
             dm_sq = dm_abs = None
         else:
@@ -187,7 +171,7 @@ def build_report(records, reference: str, failures=()) -> EvalReport:
                 dm_abs = None
         last = float(rec.predicted[-1])
         rows.append(ReportRow(rec.model_id, m["MSE"], m["RMSE"], m["MAE"],
-                              m.get("MAPE", math.nan), dm_sq, dm_abs,
+                              m["MAPE"], dm_sq, dm_abs,
                               var_estimate(last, 10, 0.95) if last >= 0 else math.nan))
     best_mse = min(r.mse for r in rows)
     best_mae = min(r.mae for r in rows)

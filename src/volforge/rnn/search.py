@@ -13,7 +13,6 @@ from dataclasses import replace
 import numpy as np
 
 from ..classical import argmin_search
-from ..errors import DataError
 from ..evaluation import error_metric
 from .config import RnnConfig
 from .training import TrainedRnn, rnn_forecast_path, rnn_train
@@ -48,17 +47,13 @@ def window_search(train, valid, base_config: RnnConfig, window_grid=WINDOW_GRID,
     return replace(best, search_log=tuple((cfg.window, val) for cfg, val in log))
 
 
-def hyperparameter_search(train, valid, candidates, metric: str = "MSE",
-                          budget: int | None = None) -> TrainedRnn:
+def hyperparameter_search(train, valid, candidates, metric: str = "MSE") -> TrainedRnn:
     """Evaluate candidate configs in deterministic order, return the argmin.
 
-    ``budget`` caps the number of candidates trained; the log keeps one
-    (config, metric) row per evaluated candidate, failures included as inf.
+    The log keeps one (config, metric) row per candidate, failures included
+    as inf.
     """
-    candidates = list(candidates)
-    if budget is not None and budget <= 0:
-        raise DataError("search budget must be >= 1")
-    best, log = argmin_search(candidates[:budget], _trained(train, valid, metric),
+    best, log = argmin_search(candidates, _trained(train, valid, metric),
                               "every hyperparameter candidate failed to train")
     return replace(best, search_log=log)
 

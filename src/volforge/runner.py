@@ -385,7 +385,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     """
     rv, r_full = _load_data(config)
     spec = SplitSpec(config.validation_len, config.test_len)
-    lookback = max([1] + [max(config.har_lags)]
+    lookback = max([1] + ([max(config.har_lags)] if "har" in config.models else [])
                    + ([max(config.rnn_windows)] if set(config.models) & set(RNN_MODELS) else []))
     train_rv, valid_rv, test_rv = split(rv, spec, min_train=lookback + 10)
     rv = apply_zero_floor(rv, len(train_rv))

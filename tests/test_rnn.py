@@ -617,16 +617,6 @@ class TestSearch:
         assert log[35] == math.inf
         assert model.config.window == 3
 
-    def test_hyperparameter_search_budget(self):
-        rv = self.series()
-        cands = [RnnConfig(units=5, window=3, epochs=1, seed=0),
-                 RnnConfig(units=5, window=5, epochs=1, seed=0),
-                 RnnConfig(units=10, window=5, epochs=1, seed=0)]
-        model = hyperparameter_search(rv[:200], rv[200:], cands, budget=2)
-        assert len(model.search_log) == 2
-        with pytest.raises(DataError, match="budget"):
-            hyperparameter_search(rv[:200], rv[200:], cands, budget=0)
-
     def test_hyperparameter_search_argmin(self):
         rv = self.series()
         cands = [RnnConfig(cell="gru", units=5, window=3, epochs=2, seed=0),

@@ -311,6 +311,14 @@ class TestCli:
         rows = [line.split(",") for line in (out / "validation_report.csv").read_text().splitlines()]
         assert [row[9] for row in rows if row[0] == "arima"] == [""]
 
+    def test_har_lags_ignored_when_har_disabled(self, tmp_path):
+        # 600-bucket lags would need 810 points if they counted in the lookback
+        text = CASCADE_CONFIG.replace("naive,har", "naive,ewma") + "har.lags = 1,5,600\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "test_report.csv").exists()
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write_config(tmp_path)
         o1, o2 = tmp_path / "o1", tmp_path / "o2"
