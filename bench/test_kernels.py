@@ -5,6 +5,7 @@ Run from the repository root with ``PYTHONPATH=src python -m pytest bench
 collect this directory.  Inputs are seeded, so rounds time identical work.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -13,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volforge.classical import (ArimaModel, _css_residuals, _pacf_to_coeffs, arima_path,
-                                ewma_forecasts, har_fit, har_path)
-from volforge.garch import variance_path
+from volforge.classical import (ArimaModel, _css_residuals, _pacf_to_coeffs, arima_fit,
+                                arima_path, ewma_forecasts, har_fit, har_path)
+from volforge.garch import garch_fit, variance_path
 from volforge.rnn import RnnConfig, init_weights, rnn_backward, rnn_forward, rnn_train
 from volforge.series import log_returns, read_price_csv, realized_volatility, write_price_csv
-from volforge.synth import GbmSpec, simulate_gbm, simulate_log_vol_cascade
+from volforge.synth import GbmSpec, build_source, simulate_gbm, simulate_log_vol_cascade
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -75,6 +76,26 @@ def test_variance_path(benchmark):
     r = np.random.default_rng(1).standard_normal(89) * 0.01
     sigma2 = benchmark(variance_path, r, 1e-6, 0.05, 0.85, 0.08, 0.0)
     assert len(sigma2) == 89
+
+
+@pytest.fixture(scope="module")
+def cascade_train():
+    """Case 201 of the classical_cascade workload (130 points): its 50-point
+    training window and the 49 bucket returns the runner pairs with it."""
+    source = build_source("cascade", {"length": 130, "noise_sd": 0.3}, 201)
+    returns = source.rv[1:] * np.random.default_rng(201 + 7).standard_normal(len(source) - 1)
+    return source.rv[:50], returns[:49]
+
+
+# one minimize_simplex fit of each kind in a classical_cascade op
+@pytest.mark.parametrize("fit", ["arima101", "gjr"])
+def test_minimize_simplex(benchmark, cascade_train, fit):
+    rv, returns = cascade_train
+    if fit == "arima101":
+        model = benchmark(arima_fit, rv, (1, 0, 1))
+    else:
+        model = benchmark(garch_fit, returns, "gjr")
+    assert math.isfinite(model.loglik)
 
 
 def test_ewma_forecasts(benchmark, rv):
