@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from volforge.classical import (ArimaModel, _css_residuals, _pacf_to_coeffs, arima_fit,
-                                arima_path, ewma_forecasts, har_fit, har_path)
+                                arima_order_select, arima_path, ewma_forecasts, har_fit,
+                                har_path)
 from volforge.garch import garch_fit, variance_path
 from volforge.rnn import RnnConfig, init_weights, rnn_backward, rnn_forward, rnn_train
+from volforge.runner import ExperimentConfig
 from volforge.series import log_returns, read_price_csv, realized_volatility, write_price_csv
 from volforge.synth import GbmSpec, build_source, simulate_gbm, simulate_log_vol_cascade
 
@@ -71,11 +73,14 @@ def test_pacf_to_coeffs(benchmark, k):
     assert len(phi) == k
 
 
-def test_variance_path(benchmark):
-    # 89 returns: the GJR fit's training window in the classical_cascade workload
-    r = np.random.default_rng(1).standard_normal(89) * 0.01
-    sigma2 = benchmark(variance_path, r, 1e-6, 0.05, 0.85, 0.08, 0.0)
-    assert len(sigma2) == 89
+# 49 and 89 returns: the GARCH fits' training and train+validation windows in
+# the classical_cascade workload, with the mean and seed variance garch_fit passes
+@pytest.mark.parametrize("n", [49, 89])
+def test_variance_path(benchmark, n):
+    r = np.random.default_rng(1).standard_normal(n) * 0.01
+    sigma2 = benchmark(variance_path, r, 1e-6, 0.05, 0.85, 0.08, float(np.mean(r)),
+                       float(np.var(r)))
+    assert len(sigma2) == n
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +101,14 @@ def test_minimize_simplex(benchmark, cascade_train, fit):
     else:
         model = benchmark(garch_fit, returns, "gjr")
     assert math.isfinite(model.loglik)
+
+
+def test_arima_order_select(benchmark, cascade_train):
+    # the selection search of a classical_cascade op: all 32 default orders
+    rv, _ = cascade_train
+    orders = ExperimentConfig().arima_orders
+    model = benchmark(arima_order_select, rv, orders)
+    assert len(model.search_log) == len(orders) == 32
 
 
 def test_ewma_forecasts(benchmark, rv):

@@ -10,7 +10,10 @@ complete candidate/score log, so an exhaustive replay can verify the argmin.
 
 The recursions keep the rounding of the per-step loops they replaced: the
 input terms are computed for the whole array at once in the loop's operation
-order, and only the feedback term runs as a loop, over Python floats.
+order, and only the feedback term runs as a loop, over Python floats.  The
+ARIMA fit builds its objective once: the differenced series' lagged slices
+and tail are taken before the simplex starts, so an evaluation makes only the
+numpy calls that depend on the coefficients.
 """
 
 from __future__ import annotations
@@ -296,8 +299,8 @@ class ArimaModel:
                 f"loglik={self.loglik!r}\n")
 
 
-def _pacf_to_coeffs(u: np.ndarray) -> np.ndarray:
-    """Map unconstrained reals to a stationary AR coefficient vector.
+def _pacf_coeffs(u) -> list:
+    """Map unconstrained reals to a stationary AR coefficient list.
 
     tanh squashes to partial autocorrelations, then the Durbin-Levinson
     recursion expands them; the image is exactly the stationary region.
@@ -306,25 +309,52 @@ def _pacf_to_coeffs(u: np.ndarray) -> np.ndarray:
     phi = []
     for r in np.tanh(u).tolist():
         phi = [p - r * q for p, q in zip(phi, reversed(phi))] + [r]
-    return np.array(phi, dtype=float)
+    return phi
 
 
-def _css_residuals(z: np.ndarray, c: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Residual recursion conditioning on the first p observations.
+def _pacf_to_coeffs(u) -> np.ndarray:
+    """``_pacf_coeffs`` as a float64 array."""
+    return np.array(_pacf_coeffs(u), dtype=float)
+
+
+def _css_residual_fn(z: np.ndarray, p: int, q: int):
+    """The CSS residual recursion on z at AR order p and MA order q, as a
+    function ``residuals(c, phi, theta)`` of coefficient sequences of those
+    lengths (theta a list of floats).
 
     a_t = z_t - (c + phi_1 z_{t-1} + ... + phi_p z_{t-p}
                  - theta_1 a_{t-1} - ... - theta_q a_{t-q}),
     summed left to right.  Pre-sample residuals are zero and left out of the
-    sum; returns residuals for t = p .. n-1.
+    sum; the residuals are for t = p .. n-1.  z's lagged slices and its tail
+    are taken here, once per fit, so a call does only the work that depends
+    on the coefficients.
     """
-    p, q = len(phi), len(theta)
     n = len(z)
-    pred = np.full(max(n - p, 0), c, dtype=float)
-    for i in range(1, p + 1):
-        pred = pred + phi[i - 1] * z[p - i:n - i]
-    if q == 0:
-        return z[p:] - pred
-    return np.array(_ma_feedback(z[p:].tolist(), pred.tolist(), theta.tolist()))
+    tail = z[p:]
+    tail_list = tail.tolist() if q else None
+    lags = [z[p - i:n - i] for i in range(1, p + 1)]
+
+    def residuals(c, phi, theta):
+        if p == 0:
+            if q == 0:
+                return tail - c
+            pred = [c] * len(tail_list)
+        else:
+            pred = c + phi[0] * lags[0]
+            for coef, lag in zip(phi[1:], lags[1:]):
+                pred += coef * lag
+            if q == 0:
+                return tail - pred
+            pred = pred.tolist()
+        return np.array(_ma_feedback(tail_list, pred, theta))
+
+    return residuals
+
+
+def _css_residuals(z: np.ndarray, c: float, phi, theta) -> np.ndarray:
+    """``_css_residual_fn`` of z applied once to (c, phi, theta)."""
+    theta = np.asarray(theta, dtype=float).tolist()
+    return _css_residual_fn(z, len(phi), len(theta))(c, phi, theta)
 
 
 def _ma_feedback(z: list, pred: list, theta: list) -> list:
@@ -363,14 +393,19 @@ def _ma_feedback(z: list, pred: list, theta: list) -> list:
     return a
 
 
-def _css_loglik(z: np.ndarray, c: float, phi: np.ndarray, theta: np.ndarray):
-    a = _css_residuals(z, c, phi, theta)
+def _gaussian_css(a: np.ndarray):
+    """CSS Gaussian log-likelihood and innovation variance of residuals a."""
     n = len(a)
-    sigma2 = float(np.sum(a * a)) / n
+    sigma2 = float(np.add.reduce(a * a)) / n
     if sigma2 <= 0:
         sigma2 = 1e-300
     ll = -0.5 * n * (math.log(2 * math.pi * sigma2) + 1.0)
     return ll, sigma2
+
+
+def _css_loglik(z: np.ndarray, c: float, phi, theta):
+    """``_gaussian_css`` of the CSS residuals of (c, phi, theta) on z."""
+    return _gaussian_css(_css_residuals(z, c, phi, theta))
 
 
 def _difference(y: np.ndarray, d: int) -> np.ndarray:
@@ -397,37 +432,33 @@ def arima_fit(train, order) -> ArimaModel:
             f"need more than {10 * (p + q + 1)} observations after differencing for order {order}, "
             f"got {len(z)}")
     has_c = d == 0
-    k = (1 if has_c else 0) + p + q
-
-    def unpack(x):
-        idx = 0
-        c = x[0] if has_c else 0.0
-        idx += 1 if has_c else 0
-        phi = _pacf_to_coeffs(x[idx:idx + p])
-        theta = _pacf_to_coeffs(x[idx + p:idx + p + q])
-        return float(c), phi, theta
-
-    if k == 0:
-        ll, sigma2 = _css_loglik(z, 0.0, np.zeros(0), np.zeros(0))
+    i_ar = 1 if has_c else 0    # x = [c if has_c, AR pacf logits, MA pacf logits]
+    i_ma = i_ar + p
+    if i_ma + q == 0:
+        ll, sigma2 = _css_loglik(z, 0.0, [], [])
         return ArimaModel(tuple(order), (), (), 0.0, sigma2, ll)
 
-    x0 = np.zeros(k)
-    if has_c:
-        x0[0] = float(np.mean(z))
+    def unpack(x):
+        c = float(x[0]) if has_c else 0.0
+        phi = _pacf_coeffs(x[i_ar:i_ma]) if p else []
+        theta = _pacf_coeffs(x[i_ma:]) if q else []
+        return c, phi, theta
+
+    residuals = _css_residual_fn(z, p, q)
 
     def neg_ll(x):
-        c, phi, theta = unpack(x)
-        ll, _ = _css_loglik(z, c, phi, theta)
-        return -ll
+        return -_gaussian_css(residuals(*unpack(x)))[0]
 
+    x0 = np.zeros(i_ma + q)
+    if has_c:
+        x0[0] = float(np.mean(z))
     x_best, f_best, _ = minimize_simplex(neg_ll, x0)
     c, phi, theta = unpack(x_best)
     ll, sigma2 = _css_loglik(z, c, phi, theta)
     if not math.isfinite(ll):
         raise FitError("ARIMA CSS fit did not converge",
                        diagnostics={"order": order, "x": x_best.tolist(), "neg_ll": f_best})
-    return ArimaModel(tuple(order), tuple(float(v) for v in phi),
-                      tuple(float(v) for v in theta), c, sigma2, ll)
+    return ArimaModel(tuple(order), tuple(phi), tuple(theta), c, sigma2, ll)
 
 
 def arima_path(model: ArimaModel, values, start: int, stop: int) -> np.ndarray:

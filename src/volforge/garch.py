@@ -8,6 +8,11 @@ simplex optimizer runs unconstrained.
 
 Returns are per bucket, so the conditional standard deviation is compared
 with rv directly (M = 1 returns per bucket).
+
+A fit builds its objective once: the squared mean-adjusted returns are
+computed before the simplex starts.  Each evaluation still calls
+``variance_path`` on the full training returns and shares the Gaussian
+log-likelihood expression with ``garch_loglik``.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ def variance_path(returns, omega, alpha, beta, gamma, mu, sigma2_0=None) -> np.n
         s = x + beta * s
         sigma2.append(s)
     sigma2 = np.array(sigma2)
-    if np.any(sigma2 <= 0):
+    if (sigma2 <= 0).any():
         raise FitError("non-positive conditional variance in recursion")
     return sigma2
 
@@ -85,7 +90,12 @@ def garch_loglik(params, returns, sigma2_0=None) -> float:
         raise DataError("need at least 10 returns for the likelihood")
     sigma2 = variance_path(r, omega, alpha, beta, gamma, mu, sigma2_0)
     eps = r - mu
-    return float(-0.5 * np.sum(_LOG_2PI + np.log(sigma2) + eps * eps / sigma2))
+    return _gaussian_loglik(sigma2, eps * eps)
+
+
+def _gaussian_loglik(sigma2, e2) -> float:
+    """Gaussian log-likelihood of squared innovations e2 under variances sigma2."""
+    return float(-0.5 * np.add.reduce(_LOG_2PI + np.log(sigma2) + e2 / sigma2))
 
 
 def _sigmoid(v):
@@ -132,11 +142,14 @@ def garch_fit(returns, flavor: str = "garch") -> GarchModel:
         raise FitError("degenerate data: zero return variance")
     mu = float(np.mean(r))
     include_gamma = flavor == "gjr"
+    eps = r - mu
+    e2 = eps * eps
 
     def neg_ll(x):
-        omega, alpha, beta, gamma = _unpack(x, include_gamma)
+        omega, alpha, beta, gamma = _unpack(x.tolist(), include_gamma)
         try:
-            return -garch_loglik((omega, alpha, beta, gamma, mu), r, var)
+            # the module global, so a wrapped variance_path sees every call
+            return -_gaussian_loglik(variance_path(r, omega, alpha, beta, gamma, mu, var), e2)
         except (FitError, OverflowError):
             return 1e12
 

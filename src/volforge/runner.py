@@ -357,6 +357,7 @@ class RunManifest:
     model_params: tuple          # (model_id, dump-text) pairs
     timings: tuple               # (model_id, seconds) pairs
     versions: tuple
+    negatives: tuple             # (model_id, validation, test) counts of forecasts < 0
 
     def render(self) -> str:
         lines = [f"config_hash={self.config_hash}"]
@@ -364,6 +365,9 @@ class RunManifest:
             lines.append(f"version.{k}={v}")
         for mid, secs in self.timings:
             lines.append(f"timing.{mid}={secs:.3f}s")
+        for mid, n_valid, n_test in self.negatives:
+            lines.append(f"negative.{mid}.validation={n_valid}")
+            lines.append(f"negative.{mid}.test={n_test}")
         for mid, dump in self.model_params:
             for line in dump.strip().splitlines():
                 lines.append(f"param.{mid}.{line}")
@@ -422,7 +426,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     report_t = build_report(recs_t, reference, failures=failures)
 
     versions = _versions()
-    manifest = RunManifest(config.hash(), tuple(dumps), tuple(timings), versions)
+    # counted, not floored: a floor would change the scored forecasts
+    negatives = tuple((m, int(np.count_nonzero(v < 0)), int(np.count_nonzero(t < 0)))
+                      for m, (v, t) in results.items())
+    manifest = RunManifest(config.hash(), tuple(dumps), tuple(timings), versions, negatives)
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from volforge.classical import (ArimaModel, EwmaModel, HarModel, _css_residuals,
-                                _difference, _pacf_to_coeffs, arima_fit,
+from volforge.classical import (ArimaModel, EwmaModel, HarModel, _css_loglik,
+                                _css_residuals, _difference, _pacf_to_coeffs, arima_fit,
                                 arima_forecast, arima_order_select, arima_path,
                                 default_har_lag_grid, ewma_fit, ewma_forecasts,
                                 ewma_path, har_design, har_fit,
                                 argmin_search, har_forecast, har_lag_search,
                                 har_path, naive_path)
 from volforge.errors import DataError, FitError
+from volforge.simplex import minimize_simplex
 from volforge.synth import simulate_log_vol_cascade
 
 
@@ -418,6 +419,16 @@ class TestKernelsBitExact:
         assert np.array_equal(_css_residuals(z, c, phi, theta),
                               css_residuals_loop(z, c, phi, theta), equal_nan=True)
 
+    @settings(max_examples=150, deadline=None)
+    @given(z=series, c=st.floats(-10.0, 10.0), phi=coefficients, theta=coefficients)
+    def test_css_loglik(self, z, c, phi, theta):
+        a = css_residuals_loop(z, c, phi, theta)
+        sigma2 = float(np.sum(a * a)) / len(a)
+        if sigma2 <= 0:
+            sigma2 = 1e-300
+        ll = -0.5 * len(a) * (math.log(2 * math.pi * sigma2) + 1.0)
+        assert [v.hex() for v in _css_loglik(z, c, phi, theta)] == [ll.hex(), sigma2.hex()]
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(12, 400),
            d=st.integers(0, 1), phi=coefficients, theta=coefficients,
@@ -479,3 +490,55 @@ class TestKernelsBitExact:
         har_path(model, rv, 22, 36)
         with pytest.raises(DataError, match="non-positive"):
             har_path(model, rv, 22, 37)
+
+
+def arima_fit_oracle(train, order):
+    """(phi, theta, intercept, innovation variance, loglik) of an ARIMA CSS fit
+    whose objective redoes every step on every evaluation: _pacf_to_coeffs on
+    each block and _css_loglik on the whole differenced series."""
+    p, d, q = order
+    z = _difference(np.asarray(train, dtype=float), d)
+    has_c = d == 0
+    k = (1 if has_c else 0) + p + q
+    if k == 0:
+        ll, sigma2 = _css_loglik(z, 0.0, np.zeros(0), np.zeros(0))
+        return [], [], 0.0, sigma2, ll
+
+    def unpack(x):
+        idx = 1 if has_c else 0
+        c = x[0] if has_c else 0.0
+        return (float(c), _pacf_to_coeffs(x[idx:idx + p]),
+                _pacf_to_coeffs(x[idx + p:idx + p + q]))
+
+    def neg_ll(x):
+        c, phi, theta = unpack(x)
+        ll, _ = _css_loglik(z, c, phi, theta)
+        return -ll
+
+    x0 = np.zeros(k)
+    if has_c:
+        x0[0] = float(np.mean(z))
+    x_best, _, _ = minimize_simplex(neg_ll, x0)
+    c, phi, theta = unpack(x_best)
+    ll, sigma2 = _css_loglik(z, c, phi, theta)
+    return phi.tolist(), theta.tolist(), c, sigma2, ll
+
+
+class TestArimaObjectiveOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.integers(0, 3), d=st.integers(0, 1), q=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32 - 1), cascade=st.booleans(), data=st.data())
+    def test_fit_matches_unhoisted_objective(self, p, d, q, seed, cascade, data):
+        n = data.draw(st.integers(max(45, 10 * (p + q + 1) + d + 1), 200), label="n")
+        if cascade:
+            y = simulate_log_vol_cascade(-0.4, 0.35, 0.3, 0.25, noise_sd=0.3,
+                                         length=n, seed=seed % 2 ** 31).rv
+        else:
+            y = np.cumsum(np.random.default_rng(seed).standard_normal(n))
+        model = arima_fit(y, (p, d, q))
+        got = (list(model.phi), list(model.theta), model.intercept,
+               model.innovation_variance, model.loglik)
+        want = arima_fit_oracle(y, (p, d, q))
+        for g, w in zip(got[:2], want[:2]):
+            assert [v.hex() for v in g] == [v.hex() for v in w]
+        assert [v.hex() for v in got[2:]] == [v.hex() for v in want[2:]]

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from volforge.errors import DataError
-from volforge.garch import (GarchModel, garch_fit, garch_forecast_path,
-                            garch_loglik, variance_path)
+from volforge import garch
+from volforge.errors import DataError, FitError
+from volforge.garch import (_MAX_PERSISTENCE, GarchModel, _unpack, garch_fit,
+                            garch_forecast_path, garch_loglik, variance_path)
+from volforge.simplex import minimize_simplex
 from volforge.synth import GarchSimSpec, simulate_garch
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -88,6 +90,18 @@ class TestVariancePathBitExact:
         assert np.array_equal(
             variance_path(r, omega, alpha, beta, gamma, mu, sigma2_0),
             variance_path_loop(r, omega, alpha, beta, gamma, mu, sigma2_0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=arrays(np.float64, st.integers(12, 400), elements=st.floats(-0.1, 0.1))
+           .filter(lambda r: np.var(r) > 0),
+           omega=st.floats(1e-8, 1e-3), alpha=st.floats(0.0, 0.3),
+           beta=st.floats(0.0, 0.69), gamma=st.floats(0.0, 0.3),
+           mu=st.floats(-0.01, 0.01))
+    def test_loglik_matches_formula(self, r, omega, alpha, beta, gamma, mu):
+        s2 = variance_path_loop(r, omega, alpha, beta, gamma, mu)
+        eps = r - mu
+        expect = float(-0.5 * np.sum(_LOG_2PI + np.log(s2) + eps * eps / s2))
+        assert garch_loglik((omega, alpha, beta, gamma, mu), r).hex() == expect.hex()
 
     def test_loglik_seed_defaults_to_sample_variance(self):
         r = simulate_garch(GarchSimSpec(1e-5, 0.1, 0.85, length=200, seed=4)).returns
@@ -221,3 +235,73 @@ class TestModelValidation:
         m = GarchModel(1e-5, 0.1, 0.8, 0.0, 0.0, -123.0)
         d = m.dump()
         assert "model=garch" in d and "omega=1e-05" in d and "beta=0.8" in d
+
+
+def garch_fit_oracle(returns, flavor):
+    """A GARCH fit whose objective redoes every step on every evaluation:
+    _unpack, then garch_loglik on the returns."""
+    r = np.asarray(returns, dtype=float)
+    var = float(np.var(r))
+    mu = float(np.mean(r))
+    include_gamma = flavor == "gjr"
+
+    def neg_ll(x):
+        omega, alpha, beta, gamma = _unpack(x, include_gamma)
+        try:
+            return -garch_loglik((omega, alpha, beta, gamma, mu), r, var)
+        except (FitError, OverflowError):
+            return 1e12
+
+    s0 = 0.90
+    x0 = [math.log(var * (1 - s0)),
+          math.log(s0 / _MAX_PERSISTENCE / (1 - s0 / _MAX_PERSISTENCE)),
+          math.log((0.05 / s0) / (1 - 0.05 / s0))]
+    if include_gamma:
+        x0 = x0[:2] + [math.log(0.05 / 0.85), math.log(0.025 / 0.85)]
+    x_best, f_best, _ = minimize_simplex(neg_ll, np.array(x0))
+    x_best, f_best, _ = minimize_simplex(neg_ll, x_best)
+    if f_best >= 1e12:
+        raise FitError("GARCH fit failed to reach a finite likelihood")
+    omega, alpha, beta, gamma = _unpack(x_best, include_gamma)
+    ll = garch_loglik((omega, alpha, beta, gamma, mu), r, var)
+    return GarchModel(omega, alpha, beta, gamma, mu, ll, flavor)
+
+
+def fit_outcome(fit, r, flavor):
+    """The fitted bits, or the error a fit raised."""
+    try:
+        m = fit(r, flavor)
+    except (DataError, FitError) as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in (m.omega, m.alpha, m.beta, m.gamma, m.mu, m.loglik)]
+
+
+def assert_fit_matches_oracle(r, flavor):
+    assert fit_outcome(garch_fit, r, flavor) == fit_outcome(garch_fit_oracle, r, flavor)
+
+
+class TestGarchObjectiveOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(30, 200),
+           scale=st.sampled_from([1e-3, 1e-2, 1.0]), flavor=st.sampled_from(["garch", "gjr"]))
+    def test_fit_matches_unhoisted_objective(self, seed, n, scale, flavor):
+        rng = np.random.default_rng(seed)
+        r = scale * rng.standard_normal(n) * np.exp(0.5 * rng.standard_normal(n))
+        assert_fit_matches_oracle(r, flavor)
+
+    @pytest.mark.parametrize("flavor", ["garch", "gjr"])
+    def test_fit_through_the_plateau_matches(self, flavor, monkeypatch):
+        # zero returns after a burst pull omega toward 0; once it underflows the
+        # variance path fails and the objective returns its 1e12 plateau
+        r = np.array([0.01, -0.01] * 5 + [0.0] * 40)
+        values = []
+
+        def recording(fn, x0, max_iter=None):
+            def f(x):
+                values.append(fn(x))
+                return values[-1]
+            return minimize_simplex(f, x0, max_iter)
+
+        monkeypatch.setattr(garch, "minimize_simplex", recording)
+        assert_fit_matches_oracle(r, flavor)
+        assert 1e12 in values

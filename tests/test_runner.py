@@ -310,6 +310,12 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         rows = [line.split(",") for line in (out / "validation_report.csv").read_text().splitlines()]
         assert [row[9] for row in rows if row[0] == "arima"] == [""]
+        # its last two validation forecasts are below zero: counted, not floored
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "negative.arima.validation=2" in manifest
+        assert "negative.arima.test=0" in manifest
+        assert [line for line in manifest if line.startswith("negative.naive.")] == [
+            "negative.naive.validation=0", "negative.naive.test=0"]
 
     def test_har_lags_ignored_when_har_disabled(self, tmp_path):
         # 600-bucket lags would need 810 points if they counted in the lookback
