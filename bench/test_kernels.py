@@ -163,12 +163,30 @@ def test_rnn_train(benchmark, cell, window):
     assert len(model.training_loss_curve) == 5
 
 
-def test_import_cli(benchmark):
-    # a fresh interpreter importing the CLI: the import share of every verb's set-up
+def fresh_process(benchmark, argv):
+    """Times `python argv` in a fresh interpreter that imports volforge from src/."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = benchmark.pedantic(subprocess.run, ([sys.executable, "-c", "import volforge.cli"],),
+    proc = benchmark.pedantic(subprocess.run, ([sys.executable] + argv,),
                               {"env": env, "capture_output": True}, rounds=5, iterations=1,
                               warmup_rounds=1)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_cli(benchmark):
+    # a fresh interpreter importing the CLI: the import share of every verb's set-up
+    fresh_process(benchmark, ["-c", "import volforge.cli"])
+
+
+def test_cli_ingest(benchmark, tmp_path):
+    # a whole `volforge ingest` process on the ingest_csv workload's first case:
+    # start-up, then one 97.5k-bar read, bucketing and rv.csv write
+    prices, _ = simulate_gbm(GbmSpec(buckets=250, steps_per_bucket=390, seed=101))
+    write_price_csv(prices, tmp_path / "prices.csv")
+    config = tmp_path / "ingest.cfg"
+    config.write_text(f"data.source=csv\ndata.csv={tmp_path / 'prices.csv'}\n"
+                      "data.aggregation=day\n")
+    fresh_process(benchmark, ["-m", "volforge.cli", "ingest", "--config", str(config),
+                              "--out", str(tmp_path / "out")])
+    assert len((tmp_path / "out" / "rv.csv").read_text().splitlines()) == 251

@@ -57,14 +57,24 @@ def _load_config(args):
     return config
 
 
+def _out_dir(out) -> Path:
+    """The --out directory, created if missing; one that cannot be a
+    directory (an existing file, say) is a ConfigError."""
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: cannot use as a directory ({exc.strerror})") from exc
+    return out
+
+
 def cmd_ingest(args) -> int:
     config = _load_config(args)
     if config.source != "csv":
         raise ConfigError("ingest requires data.source=csv")
     prices = read_price_csv(config.csv_path)
     rv = realized_volatility(log_returns(prices), config.aggregation)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     write_rv_csv(rv, out / "rv.csv")
     print(f"wrote {len(rv)} rv buckets to {out / 'rv.csv'}")
     return EXIT_OK
@@ -72,7 +82,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_run(args) -> int:
     config = _load_config(args)
-    report_v, report_t, manifest = run_experiment(config, out_dir=args.out)
+    out = _out_dir(args.out)  # before any fit, so a bad --out costs no model time
+    report_v, report_t, manifest = run_experiment(config, out_dir=out)
     print(f"config hash {manifest.config_hash[:12]}; "
           f"{len(report_t.rows)} models, {len(report_t.failures)} failures; "
           f"reports in {args.out}")
@@ -84,8 +95,7 @@ def cmd_simulate(args) -> int:
     if config.source != "synth":
         raise ConfigError("simulate requires data.source=synth")
     source = synth.build_source(config.synth_kind, dict(config.synth_params), config.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     if config.synth_kind == "gbm":
         write_price_csv(source, out / "prices.csv")
         print(f"wrote {len(source)} prices to {out / 'prices.csv'}")

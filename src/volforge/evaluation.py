@@ -4,6 +4,12 @@ Report rows follow the result-table conventions: MSE scaled by 1e5, RMSE and
 MAE by 1e3, MAPE in percent, pairwise DM statistics against a reference
 model for both squared and absolute loss, and a 10-day 95% normal VaR from
 each model's last forecast.
+
+The Student-t tail of the DM p-value and the normal quantile of the VaR come
+from ``scipy.special``, the program's only scipy module.  ``dm_test`` and
+``var_estimate`` import it on their first call, so ``import volforge`` and
+the verbs that build no report (``ingest``, ``simulate``, ``gradcheck``)
+load no scipy module.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri, stdtr
 
 from .errors import DataError
 
@@ -100,6 +105,7 @@ def dm_test(rec1: ForecastRecord, rec2: ForecastRecord, loss: str = "squared") -
     stat = d_bar / math.sqrt(gamma0 / t_len)
     h = 1
     stat *= math.sqrt((t_len + 1 - 2 * h + h * (h - 1) / t_len) / t_len)
+    from scipy.special import stdtr  # loaded here, so verbs without a report skip scipy
     p = 2.0 * float(stdtr(t_len - 1, -abs(stat)))
     return DmResult(stat, p, loss)
 
@@ -113,6 +119,7 @@ def var_estimate(sigma_forecast: float, horizon_periods: int = 10,
         raise DataError(f"confidence {confidence} outside (0.5, 1)")
     if horizon_periods < 1:
         raise DataError("horizon_periods must be >= 1")
+    from scipy.special import ndtri  # loaded here, so verbs without a report skip scipy
     z = float(ndtri(confidence))
     return z * sigma_forecast * math.sqrt(horizon_periods)
 

@@ -121,7 +121,10 @@ def _unpack(x, include_gamma):
         wa, wg = _softmax3(x[2], x[3])
         alpha = s * wa
         gamma = 2.0 * s * wg
+        # 1 - wa - wg can round below zero when alpha and gamma take all the weight
         beta = s * (1.0 - wa - wg)
+        if beta < 0.0:
+            beta = 0.0
     else:
         wa = _sigmoid(x[2])
         alpha = s * wa

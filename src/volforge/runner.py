@@ -31,7 +31,7 @@ from .evaluation import ForecastRecord, build_report, report_csv, report_text
 from .rnn import RnnConfig, rnn_forecast_path, window_search
 from .rnn.search import WINDOW_GRID, search_log_csv
 from .series import (AGGREGATIONS, RVSeries, SplitSpec, apply_zero_floor, calendar_buckets,
-                     log_returns, read_price_csv, realized_volatility, split)
+                     log_returns, read_price_csv, read_utf8, realized_volatility, split)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +297,10 @@ CONFIG_KEYS = {
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Flat key=value config with dotted section prefixes; '#' comments."""
+    """Flat key=value config with dotted section prefixes; '#' comments.
+    The file is UTF-8; one that cannot be read is a ConfigError naming it."""
     kv = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path, ConfigError).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -261,6 +261,19 @@ def _parse_timestamp(tok: str) -> int:
     return (dt - _EPOCH) // timedelta(seconds=1)
 
 
+def read_utf8(path, error) -> str:
+    """The UTF-8 text of a file; a missing, unreadable or non-UTF-8 file
+    raises ``error`` (a VolforgeError class) naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise error(f"{path}: no such file") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror})") from exc
+
+
 def read_price_csv(path) -> PriceSeries:
     """Read a UTF-8 `timestamp,price` CSV; timestamps ISO-8601 or epoch seconds.
 
@@ -272,14 +285,7 @@ def read_price_csv(path) -> PriceSeries:
     which names the file and line of a bad row.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"{path}: no such file") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
+    text = read_utf8(path, DataError)
     lines = text.splitlines()
     if not lines or lines[0].strip().lower() != "timestamp,price":
         raise DataError(f"{path}: expected header 'timestamp,price'")

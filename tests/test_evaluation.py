@@ -266,8 +266,9 @@ class TestReport:
 
 
 # scipy.stats and scipy.optimize are oracles of the tests only; the program
-# computes with scipy.special and its own simplex
-@pytest.mark.parametrize("package", ["scipy.stats", "scipy.optimize"])
+# computes with its own simplex, and with scipy.special, which only the first
+# DM p-value or VaR imports
+@pytest.mark.parametrize("package", ["scipy.stats", "scipy.optimize", "scipy.special", "scipy"])
 def test_cli_import_skips_scipy_package(package):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -278,3 +279,23 @@ def test_cli_import_skips_scipy_package(package):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_verbs_without_a_report_load_no_scipy(tmp_path):
+    sim_cfg, ing_cfg = tmp_path / "sim.cfg", tmp_path / "ing.cfg"
+    sim_cfg.write_text("synth.kind = gbm\nsynth.buckets = 5\nsynth.steps_per_bucket = 20\n")
+    ing_cfg.write_text(f"data.source = csv\ndata.csv = {tmp_path / 'sim' / 'prices.csv'}\n")
+    argvs = [["simulate", "--config", str(sim_cfg), "--out", str(tmp_path / "sim")],
+             ["ingest", "--config", str(ing_cfg), "--out", str(tmp_path / "ing")],
+             ["gradcheck"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys; from volforge import cli; "
+            f"codes = [cli.main(argv) for argv in {argvs!r}]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert (tmp_path / "ing" / "rv.csv").read_text().count("\n") == 6

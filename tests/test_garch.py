@@ -209,6 +209,15 @@ class TestFit:
         m = garch_fit(r, flavor="gjr")
         assert m.gamma > 0.04
 
+    def test_gjr_beta_does_not_round_below_zero(self):
+        # alpha and gamma take all the weight here: s * (1 - wa - wg) rounded
+        # to -2.28e-18 and GarchModel rejected the fit
+        rng = np.random.default_rng(4294967295)
+        r = 0.01 * rng.standard_normal(105) * np.exp(0.5 * rng.standard_normal(105))
+        m = garch_fit(r, flavor="gjr")
+        assert m.beta >= 0
+        assert m.persistence < 1
+
     def test_too_few_returns(self):
         with pytest.raises(DataError):
             garch_fit(np.ones(20) * 0.01)

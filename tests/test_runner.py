@@ -394,6 +394,43 @@ class TestCli:
         assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_DATA
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body,message", [
+        (None, "no such file"),
+        (b"models = naive\n# caf\xe9\n", "not UTF-8 text"),
+        ("directory", "cannot read (Is a directory)"),
+    ], ids=["missing", "non_utf8", "directory"])
+    @pytest.mark.parametrize("verb", ["ingest", "run", "simulate"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, verb, body, message):
+        cfg = tmp_path / "exp.cfg"
+        if body == "directory":
+            cfg.mkdir()
+        elif body is not None:
+            cfg.write_bytes(body)
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("out_name", ["taken", "taken/sub"])
+    @pytest.mark.parametrize("verb", ["ingest", "run", "simulate"])
+    def test_out_not_a_directory_exits_before_any_fit(self, tmp_path, monkeypatch, capsys,
+                                                      verb, out_name):
+        fits = []
+        for model_id, (_, path) in MODELS.items():
+            monkeypatch.setitem(MODELS, model_id, (lambda *a, m=model_id: fits.append(m), path))
+        prices = tmp_path / "prices.csv"
+        prices.write_text("timestamp,price\n0,100.0\n60,101.0\n")
+        text = f"data.source = csv\ndata.csv = {prices}\n" if verb == "ingest" else CASCADE_CONFIG
+        (tmp_path / "taken").write_text("a file\n")
+        out = tmp_path / out_name
+        assert main([verb, "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out}: cannot use as a directory")
+        assert err.count("\n") == 1
+        assert fits == []
+        assert (tmp_path / "taken").read_text() == "a file\n"
+
     def test_simulate_then_ingest(self, tmp_path, capsys):
         sim_cfg = write_config(
             tmp_path,

@@ -375,7 +375,7 @@ def price_csv_texts(draw):
             row[field] = draw(st.sampled_from([pad + row[field], row[field] + pad]))
         elif edit == "bad":
             row[field] = draw(st.sampled_from(BAD_PRICES if field else BAD_TIMESTAMPS))
-        elif edit == "iso" and row[0].strip().lstrip("-").isdigit():
+        elif edit == "iso" and row[0].strip().removeprefix("-").isdigit():
             row[0] = iso_text(int(row[0].strip()), draw(st.sampled_from(["", "Z"])))
         elif edit == "blank":
             row[1] += draw(st.sampled_from(["\n", "\n \n", "\n\t"]))
