@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volforge.classical import (ArimaModel, _css_residuals, _pacf_to_coeffs, arima_fit,
+from volforge.classical import (ArimaModel, _css_residual_fn, _pacf_coeffs, arima_fit,
                                 arima_order_select, arima_path, ewma_forecasts, har_fit,
                                 har_path)
 from volforge.garch import garch_fit, variance_path
@@ -58,10 +58,11 @@ def test_read_price_csv(benchmark, tmp_path):
 @pytest.mark.parametrize("n", [50, 3000])
 @pytest.mark.parametrize("p,q", [(1, 1), (3, 3)], ids=["order101", "order303"])
 def test_css_residuals(benchmark, n, p, q):
+    # the residual function is built inside the timed call, as a one-shot use
     z = np.random.default_rng(0).standard_normal(n)
-    phi = _pacf_to_coeffs(np.full(p, 0.4))
-    theta = _pacf_to_coeffs(np.full(q, -0.3))
-    a = benchmark(_css_residuals, z, 0.01, phi, theta)
+    phi = _pacf_coeffs(np.full(p, 0.4))
+    theta = _pacf_coeffs(np.full(q, -0.3))
+    a = benchmark(lambda: _css_residual_fn(z, p, q)(0.01, phi, theta))
     assert len(a) == n - p
 
 
@@ -69,7 +70,7 @@ def test_css_residuals(benchmark, n, p, q):
 def test_pacf_to_coeffs(benchmark, k):
     # one AR or MA block of an ARIMA objective evaluation, orders up to 3
     u = np.random.default_rng(2).standard_normal(k) * 3
-    phi = benchmark(_pacf_to_coeffs, u)
+    phi = benchmark(_pacf_coeffs, u)
     assert len(phi) == k
 
 

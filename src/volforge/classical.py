@@ -13,7 +13,9 @@ input terms are computed for the whole array at once in the loop's operation
 order, and only the feedback term runs as a loop, over Python floats.  The
 ARIMA fit builds its objective once: the differenced series' lagged slices
 and tail are taken before the simplex starts, so an evaluation makes only the
-numpy calls that depend on the coefficients.
+numpy calls that depend on the coefficients.  ``_css_residual_fn`` is the one
+entry to the CSS recursion: the objective, the model's ``loglik`` (the
+objective's value at the simplex optimum) and ``arima_path`` all go through it.
 """
 
 from __future__ import annotations
@@ -312,11 +314,6 @@ def _pacf_coeffs(u) -> list:
     return phi
 
 
-def _pacf_to_coeffs(u) -> np.ndarray:
-    """``_pacf_coeffs`` as a float64 array."""
-    return np.array(_pacf_coeffs(u), dtype=float)
-
-
 def _css_residual_fn(z: np.ndarray, p: int, q: int):
     """The CSS residual recursion on z at AR order p and MA order q, as a
     function ``residuals(c, phi, theta)`` of coefficient sequences of those
@@ -324,8 +321,8 @@ def _css_residual_fn(z: np.ndarray, p: int, q: int):
 
     a_t = z_t - (c + phi_1 z_{t-1} + ... + phi_p z_{t-p}
                  - theta_1 a_{t-1} - ... - theta_q a_{t-q}),
-    summed left to right.  Pre-sample residuals are zero and left out of the
-    sum; the residuals are for t = p .. n-1.  z's lagged slices and its tail
+    summed left to right.  Pre-sample residuals are zero; the residuals are
+    for t = p .. n-1.  z's lagged slices and its tail
     are taken here, once per fit, so a call does only the work that depends
     on the coefficients.
     """
@@ -351,46 +348,36 @@ def _css_residual_fn(z: np.ndarray, p: int, q: int):
     return residuals
 
 
-def _css_residuals(z: np.ndarray, c: float, phi, theta) -> np.ndarray:
-    """``_css_residual_fn`` of z applied once to (c, phi, theta)."""
-    theta = np.asarray(theta, dtype=float).tolist()
-    return _css_residual_fn(z, len(phi), len(theta))(c, phi, theta)
-
-
 def _ma_feedback(z: list, pred: list, theta: list) -> list:
     """a_k = z_k - (pred_k - theta_1 a_{k-1} - ... - theta_q a_{k-q}) over
-    Python floats, with only the residuals since k = 0 in the sum."""
-    q, n = len(theta), len(z)
-    a = []
-    warm_up = n if q > 3 else min(q, n)
-    for k in range(warm_up):
-        s = pred[k]
-        for j in range(min(q, k)):
-            s -= theta[j] * a[k - 1 - j]
-        a.append(z[k] - s)
-    if n == warm_up:
-        return a
-    rest = zip(z[warm_up:], pred[warm_up:])
+    Python floats, with the pre-sample residuals a_{-1} .. a_{-q} zero."""
+    q = len(theta)
+    a = [0.0] * q
     append = a.append
     if q == 1:
         t1, = theta
-        a1 = a[-1]
-        for zk, pk in rest:
+        a1 = 0.0
+        for zk, pk in zip(z, pred):
             a1 = zk - (pk - t1 * a1)
             append(a1)
     elif q == 2:
         t1, t2 = theta
-        a1, a2 = a[-1], a[-2]
-        for zk, pk in rest:
+        a1 = a2 = 0.0
+        for zk, pk in zip(z, pred):
             a1, a2 = zk - (pk - t1 * a1 - t2 * a2), a1
             append(a1)
     elif q == 3:
         t1, t2, t3 = theta
-        a1, a2, a3 = a[-1], a[-2], a[-3]
-        for zk, pk in rest:
+        a1 = a2 = a3 = 0.0
+        for zk, pk in zip(z, pred):
             a1, a2, a3 = zk - (pk - t1 * a1 - t2 * a2 - t3 * a3), a1, a2
             append(a1)
-    return a
+    else:
+        for k, (zk, pk) in enumerate(zip(z, pred), start=q):
+            for j in range(q):
+                pk -= theta[j] * a[k - 1 - j]
+            append(zk - pk)
+    return a[q:]
 
 
 def _gaussian_css(a: np.ndarray):
@@ -401,18 +388,6 @@ def _gaussian_css(a: np.ndarray):
         sigma2 = 1e-300
     ll = -0.5 * n * (math.log(2 * math.pi * sigma2) + 1.0)
     return ll, sigma2
-
-
-def _css_loglik(z: np.ndarray, c: float, phi, theta):
-    """``_gaussian_css`` of the CSS residuals of (c, phi, theta) on z."""
-    return _gaussian_css(_css_residuals(z, c, phi, theta))
-
-
-def _difference(y: np.ndarray, d: int) -> np.ndarray:
-    z = np.asarray(y, dtype=float)
-    for _ in range(d):
-        z = np.diff(z)
-    return z
 
 
 def arima_fit(train, order) -> ArimaModel:
@@ -426,7 +401,7 @@ def arima_fit(train, order) -> ArimaModel:
     if p < 0 or d < 0 or q < 0:
         raise DataError(f"order components must be non-negative, got {order}")
     y = np.asarray(train, dtype=float)
-    z = _difference(y, d)
+    z = np.diff(y, n=d)
     if len(z) <= 10 * (p + q + 1):
         raise DataError(
             f"need more than {10 * (p + q + 1)} observations after differencing for order {order}, "
@@ -434,8 +409,9 @@ def arima_fit(train, order) -> ArimaModel:
     has_c = d == 0
     i_ar = 1 if has_c else 0    # x = [c if has_c, AR pacf logits, MA pacf logits]
     i_ma = i_ar + p
+    residuals = _css_residual_fn(z, p, q)
     if i_ma + q == 0:
-        ll, sigma2 = _css_loglik(z, 0.0, [], [])
+        ll, sigma2 = _gaussian_css(residuals(0.0, [], []))
         return ArimaModel(tuple(order), (), (), 0.0, sigma2, ll)
 
     def unpack(x):
@@ -443,8 +419,6 @@ def arima_fit(train, order) -> ArimaModel:
         phi = _pacf_coeffs(x[i_ar:i_ma]) if p else []
         theta = _pacf_coeffs(x[i_ma:]) if q else []
         return c, phi, theta
-
-    residuals = _css_residual_fn(z, p, q)
 
     def neg_ll(x):
         return -_gaussian_css(residuals(*unpack(x)))[0]
@@ -454,7 +428,7 @@ def arima_fit(train, order) -> ArimaModel:
         x0[0] = float(np.mean(z))
     x_best, f_best, _ = minimize_simplex(neg_ll, x0)
     c, phi, theta = unpack(x_best)
-    ll, sigma2 = _css_loglik(z, c, phi, theta)
+    ll, sigma2 = _gaussian_css(residuals(c, phi, theta))
     if not math.isfinite(ll):
         raise FitError("ARIMA CSS fit did not converge",
                        diagnostics={"order": order, "x": x_best.tolist(), "neg_ll": f_best})
@@ -471,11 +445,11 @@ def arima_path(model: ArimaModel, values, start: int, stop: int) -> np.ndarray:
     if start < p + d + 1:
         raise DataError(f"history of length {start} too short for order {model.order}")
     y = np.asarray(values, dtype=float)[:stop - 1]
-    z = _difference(y, d)
+    z = np.diff(y, n=d)
+    a = np.zeros(len(z))
+    a[p:] = _css_residual_fn(z, p, q)(model.intercept, model.phi, list(model.theta))
     phi = np.asarray(model.phi, dtype=float)
     theta = np.asarray(model.theta, dtype=float)
-    a = np.zeros(len(z))
-    a[p:] = _css_residuals(z, model.intercept, phi, theta)
     n = np.arange(start, stop) - d     # length of each differenced history
     pred = np.full(len(n), model.intercept, dtype=float)
     for i in range(1, p + 1):

@@ -10,9 +10,10 @@ Returns are per bucket, so the conditional standard deviation is compared
 with rv directly (M = 1 returns per bucket).
 
 A fit builds its objective once: the squared mean-adjusted returns are
-computed before the simplex starts.  Each evaluation still calls
-``variance_path`` on the full training returns and shares the Gaussian
-log-likelihood expression with ``garch_loglik``.
+computed before the simplex starts.  Each evaluation calls ``variance_path``
+on the full training returns and shares the Gaussian log-likelihood
+expression with ``garch_loglik``; the model's ``loglik`` is the simplex
+optimum's objective, so the recursion does not run again after the fit.
 """
 
 from __future__ import annotations
@@ -171,8 +172,7 @@ def garch_fit(returns, flavor: str = "garch") -> GarchModel:
         raise FitError("GARCH fit failed to reach a finite likelihood",
                        diagnostics={"x": list(x_best), "neg_ll": f_best})
     omega, alpha, beta, gamma = _unpack(x_best, include_gamma)
-    ll = garch_loglik((omega, alpha, beta, gamma, mu), r, var)
-    return GarchModel(omega, alpha, beta, gamma, mu, ll, flavor)
+    return GarchModel(omega, alpha, beta, gamma, mu, -f_best, flavor)
 
 
 def garch_forecast_path(model: GarchModel, returns, start: int, stop: int) -> np.ndarray:

@@ -53,6 +53,8 @@ class RnnConfig:
             raise ConfigError(f"optimizer {self.optimizer!r} not in {OPTIMIZERS}")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.activation == "softmax":
             # a single-unit softmax head is constant 1.0; accepted for grid
             # fidelity but almost certainly not what the caller wants

@@ -193,6 +193,8 @@ class ExperimentConfig:
                               f"got {self.aggregation!r}")
         if self.validation_len < 1 or self.test_len < 1:
             raise ConfigError("split.validation and split.test must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.synth_params:
             params = synth.coerce_params(self.synth_kind, dict(self.synth_params))
             object.__setattr__(self, "synth_params", tuple(sorted(params.items())))

@@ -141,6 +141,8 @@ def simulate_log_vol_cascade(c, beta_d, beta_w, beta_m, noise_sd=0.0, length=100
     (and burn_in = 0) to seed the initial window with variation so the
     zero-noise design is not collinear.
     """
+    if length < 1:
+        raise DataError("length must be >= 1")
     d, w, m = HAR_LAGS
     rng = np.random.default_rng(seed)
     total = length + burn_in
@@ -168,8 +170,8 @@ SOURCE_DEFAULTS = {
 def coerce_params(kind: str, params: dict) -> dict:
     """The ``synth.*`` values in ``params`` cast to the types of ``kind``'s
     defaults, so that 1500 and 1500.0 give one value.  An unknown kind or
-    key, a value that is not a number, or a non-integral value for an
-    integer key is a ConfigError."""
+    key, a value that is not a number, a non-integral value for an integer
+    key, or a negative seed is a ConfigError."""
     if kind not in SOURCE_DEFAULTS:
         raise ConfigError(f"unknown synth kind {kind!r}")
     defaults = {**SOURCE_DEFAULTS[kind], "seed": 0}
@@ -192,6 +194,8 @@ def coerce_params(kind: str, params: dict) -> dict:
                 raise ConfigError(f"synth.{key} must be an integer, got {value!r}")
             number = int(number)
         out[key] = number
+    if out.get("seed", 0) < 0:
+        raise ConfigError(f"synth.seed must be >= 0, got {out['seed']}")
     return out
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from volforge.classical import (ArimaModel, EwmaModel, HarModel, _css_loglik,
-                                _css_residuals, _difference, _pacf_to_coeffs, arima_fit,
+from volforge.classical import (ArimaModel, EwmaModel, HarModel, _css_residual_fn,
+                                _gaussian_css, _pacf_coeffs, arima_fit,
                                 arima_forecast, arima_order_select, arima_path,
                                 default_har_lag_grid, ewma_fit, ewma_forecasts,
                                 ewma_path, har_design, har_fit,
@@ -248,9 +248,8 @@ class TestArima:
         y = np.zeros(400)
         for t in range(1, 400):
             y[t] = 0.6 * y[t - 1] + rng.standard_normal()
-        from volforge.classical import _css_loglik
         model = arima_fit(y, (1, 0, 0))
-        ll_start, _ = _css_loglik(y, float(np.mean(y)), np.zeros(1), np.zeros(0))
+        ll_start, _ = css_loglik(y, float(np.mean(y)), [0.0], [])
         assert model.loglik >= ll_start
 
     def test_insufficient_history_forecast_errors(self):
@@ -326,6 +325,13 @@ class TestDumps:
 # oracles: every result must be bit-identical (np.array_equal).
 # ---------------------------------------------------------------------------
 
+def css_loglik(z, c, phi, theta):
+    """The CSS log-likelihood and innovation variance of (c, phi, theta) on z,
+    through the fit's residual function."""
+    theta = np.asarray(theta, dtype=float).tolist()
+    return _gaussian_css(_css_residual_fn(z, len(phi), len(theta))(c, phi, theta))
+
+
 def css_residuals_loop(z, c, phi, theta):
     p, q = len(phi), len(theta)
     n = len(z)
@@ -343,7 +349,7 @@ def css_residuals_loop(z, c, phi, theta):
 def arima_forecast_loop(model, history):
     p, d, q = model.order
     y = np.asarray(history, dtype=float)
-    z = _difference(y, d)
+    z = np.diff(y, n=d)
     phi = np.asarray(model.phi)
     theta = np.asarray(model.theta)
     n = len(z)
@@ -399,8 +405,14 @@ def pacf_to_coeffs_loop(u):
 
 
 # unconstrained draws mapped to stationary / invertible coefficients, as in a fit
-coefficients = st.lists(st.floats(-3.0, 3.0), max_size=3).map(
-    lambda u: _pacf_to_coeffs(np.array(u, dtype=float)))
+def pacf_coefficients(max_size):
+    return st.lists(st.floats(-3.0, 3.0), max_size=max_size).map(
+        lambda u: np.array(_pacf_coeffs(np.array(u, dtype=float)), dtype=float))
+
+
+coefficients = pacf_coefficients(3)
+# MA blocks past order 3 reach _ma_feedback's generic loop
+ma_coefficients = pacf_coefficients(5)
 series = arrays(np.float64, st.integers(12, 400), elements=st.floats(-100.0, 100.0))
 
 
@@ -409,14 +421,15 @@ class TestKernelsBitExact:
     @given(u=arrays(np.float64, st.integers(0, 4),
                     elements=st.floats(-100.0, 100.0) | st.floats(-3.0, 3.0)))
     def test_pacf_to_coeffs(self, u):
-        got = _pacf_to_coeffs(u)
-        assert got.dtype == np.float64
-        assert got.tobytes() == pacf_to_coeffs_loop(u).tobytes()
+        got = _pacf_coeffs(u)
+        assert all(type(v) is float for v in got)
+        assert np.array(got, dtype=float).tobytes() == pacf_to_coeffs_loop(u).tobytes()
 
     @settings(max_examples=150, deadline=None)
-    @given(z=series, c=st.floats(-10.0, 10.0), phi=coefficients, theta=coefficients)
+    @given(z=series, c=st.floats(-10.0, 10.0), phi=coefficients, theta=ma_coefficients)
     def test_css_residuals(self, z, c, phi, theta):
-        assert np.array_equal(_css_residuals(z, c, phi, theta),
+        residuals = _css_residual_fn(z, len(phi), len(theta))
+        assert np.array_equal(residuals(c, phi, theta.tolist()),
                               css_residuals_loop(z, c, phi, theta), equal_nan=True)
 
     @settings(max_examples=150, deadline=None)
@@ -427,7 +440,7 @@ class TestKernelsBitExact:
         if sigma2 <= 0:
             sigma2 = 1e-300
         ll = -0.5 * len(a) * (math.log(2 * math.pi * sigma2) + 1.0)
-        assert [v.hex() for v in _css_loglik(z, c, phi, theta)] == [ll.hex(), sigma2.hex()]
+        assert [v.hex() for v in css_loglik(z, c, phi, theta)] == [ll.hex(), sigma2.hex()]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(12, 400),
@@ -494,25 +507,25 @@ class TestKernelsBitExact:
 
 def arima_fit_oracle(train, order):
     """(phi, theta, intercept, innovation variance, loglik) of an ARIMA CSS fit
-    whose objective redoes every step on every evaluation: _pacf_to_coeffs on
-    each block and _css_loglik on the whole differenced series."""
+    whose objective redoes every step on every evaluation: _pacf_coeffs on
+    each block, and a new residual function on the whole differenced series."""
     p, d, q = order
-    z = _difference(np.asarray(train, dtype=float), d)
+    z = np.diff(np.asarray(train, dtype=float), n=d)
     has_c = d == 0
     k = (1 if has_c else 0) + p + q
     if k == 0:
-        ll, sigma2 = _css_loglik(z, 0.0, np.zeros(0), np.zeros(0))
+        ll, sigma2 = css_loglik(z, 0.0, [], [])
         return [], [], 0.0, sigma2, ll
 
     def unpack(x):
         idx = 1 if has_c else 0
         c = x[0] if has_c else 0.0
-        return (float(c), _pacf_to_coeffs(x[idx:idx + p]),
-                _pacf_to_coeffs(x[idx + p:idx + p + q]))
+        return (float(c), _pacf_coeffs(x[idx:idx + p]),
+                _pacf_coeffs(x[idx + p:idx + p + q]))
 
     def neg_ll(x):
         c, phi, theta = unpack(x)
-        ll, _ = _css_loglik(z, c, phi, theta)
+        ll, _ = css_loglik(z, c, phi, theta)
         return -ll
 
     x0 = np.zeros(k)
@@ -520,8 +533,8 @@ def arima_fit_oracle(train, order):
         x0[0] = float(np.mean(z))
     x_best, _, _ = minimize_simplex(neg_ll, x0)
     c, phi, theta = unpack(x_best)
-    ll, sigma2 = _css_loglik(z, c, phi, theta)
-    return phi.tolist(), theta.tolist(), c, sigma2, ll
+    ll, sigma2 = css_loglik(z, c, phi, theta)
+    return phi, theta, c, sigma2, ll
 
 
 class TestArimaObjectiveOracle:

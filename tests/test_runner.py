@@ -431,6 +431,33 @@ class TestCli:
         assert fits == []
         assert (tmp_path / "taken").read_text() == "a file\n"
 
+    @pytest.mark.parametrize("argv,lines,message", [
+        (["run"], "seed = -1\n", "seed must be >= 0, got -1"),
+        (["run", "--seed", "-1"], "", "seed must be >= 0, got -1"),
+        (["simulate", "--seed", "-1"], "", "seed must be >= 0, got -1"),
+        (["run"], "synth.seed = -1\n", "synth.seed must be >= 0, got -1"),
+        (["simulate"], "synth.seed = -1\n", "synth.seed must be >= 0, got -1"),
+        (["gradcheck", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+    ], ids=["config_seed", "run_flag", "simulate_flag", "run_synth_seed",
+            "simulate_synth_seed", "gradcheck_flag"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, argv, lines, message):
+        out = tmp_path / "out"
+        if lines is not None:
+            argv = argv + ["--config", str(write_config(tmp_path, CASCADE_CONFIG + lines)),
+                           "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("length", [0, -5])
+    @pytest.mark.parametrize("verb", ["run", "simulate"])
+    def test_cascade_length_below_one_exit_code(self, tmp_path, capsys, verb, length):
+        cfg = write_config(tmp_path, CASCADE_CONFIG + f"synth.length = {length}\n")
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: length must be >= 1\n"
+        assert not (out / "rv.csv").exists()
+
     def test_simulate_then_ingest(self, tmp_path, capsys):
         sim_cfg = write_config(
             tmp_path,
