@@ -45,11 +45,20 @@ def test_realized_volatility(benchmark, buckets, bars, aggregation):
     assert len(rv) >= buckets
 
 
-def test_read_price_csv(benchmark, tmp_path):
-    # the 250 x 390-bar epoch CSV of the ingest_csv workload (its first case)
+def write_iso_price_csv(prices, path):
+    stamps = np.datetime_as_string(prices.timestamps.astype("datetime64[s]")).tolist()
+    rows = zip(stamps, prices.prices.tolist())
+    path.write_text("timestamp,price\n" + "".join(f"{t},{p!r}\n" for t, p in rows))
+
+
+@pytest.mark.parametrize("write", [write_price_csv, write_iso_price_csv], ids=["epoch", "iso"])
+def test_read_price_csv(benchmark, tmp_path, write):
+    # the 250 x 390 bars of the ingest_csv workload (its first case): with epoch
+    # timestamps, as that workload writes them, np.loadtxt reads the file in one
+    # pass; with ISO timestamps the line loop reads it
     prices, _ = simulate_gbm(GbmSpec(buckets=250, steps_per_bucket=390, seed=101))
     path = tmp_path / "prices.csv"
-    write_price_csv(prices, path)
+    write(prices, path)
     back = benchmark(read_price_csv, path)
     assert back.timestamps.tobytes() == prices.timestamps.tobytes()
     assert back.prices.tobytes() == prices.prices.tobytes()

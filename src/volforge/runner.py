@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -30,8 +29,9 @@ from .errors import ConfigError, DataError, FitError, VolforgeError
 from .evaluation import ForecastRecord, build_report, report_csv, report_text
 from .rnn import RnnConfig, rnn_forecast_path, window_search
 from .rnn.search import WINDOW_GRID, search_log_csv
-from .series import (AGGREGATIONS, RVSeries, SplitSpec, apply_zero_floor, calendar_buckets,
-                     log_returns, read_price_csv, read_utf8, realized_volatility, split)
+from .series import (AGGREGATIONS, RVSeries, SplitSpec, apply_zero_floor, atomic_write,
+                     calendar_buckets, log_returns, read_price_csv, read_utf8,
+                     realized_volatility, split)
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +377,6 @@ class RunManifest:
         return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def run_experiment(config: ExperimentConfig, out_dir=None):
     """Fit all enabled models and emit validation/test reports.
 
@@ -437,17 +431,17 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out / "validation_report.csv", report_csv(report_v))
-        _atomic_write(out / "validation_report.txt", report_text(report_v))
-        _atomic_write(out / "test_report.csv", report_csv(report_t))
-        _atomic_write(out / "test_report.txt", report_text(report_t))
-        _atomic_write(out / "manifest.txt", manifest.render())
+        atomic_write(out / "validation_report.csv", report_csv(report_v))
+        atomic_write(out / "validation_report.txt", report_text(report_v))
+        atomic_write(out / "test_report.csv", report_csv(report_t))
+        atomic_write(out / "test_report.txt", report_text(report_t))
+        atomic_write(out / "manifest.txt", manifest.render())
         plots = out / "plots"
         plots.mkdir(exist_ok=True)
         emit_plot_data(recs_v, rv.period_labels[v_start:v_stop], plots, suffix="validation")
         emit_plot_data(recs_t, rv.period_labels[v_stop:t_stop], plots, suffix="test")
         for model_id, log in search_logs.items():
-            _atomic_write(out / f"{model_id}_window_search.csv", search_log_csv(log))
+            atomic_write(out / f"{model_id}_window_search.csv", search_log_csv(log))
     return report_v, report_t, manifest
 
 
@@ -469,9 +463,8 @@ def emit_plot_data(records, periods, out_dir, suffix):
         if len(periods) != len(rec):
             raise DataError(f"{rec.model_id}: period labels do not match record length")
         path = out_dir / f"{rec.model_id}_{suffix}.csv"
-        lines = ["period,actual,predicted"]
-        for lbl, a, p in zip(periods, rec.actual, rec.predicted):
-            lines.append(f"{lbl},{float(a)!r},{float(p)!r}")
-        _atomic_write(path, "\n".join(lines) + "\n")
+        rows = zip(periods, rec.actual.tolist(), rec.predicted.tolist())
+        atomic_write(path, "period,actual,predicted\n"
+                     + "".join(f"{lbl},{a!r},{p!r}\n" for lbl, a, p in rows))
         paths.append(path)
     return paths

@@ -3,13 +3,14 @@
 Covers price ingestion, log-returns, realized-volatility aggregation into
 calendar buckets (hour / day / month, UTC), chronological splitting and
 min-max scaling.  All containers are immutable after construction and all
-operations are pure functions, so values can be shared freely across
-concurrent model fits.
+operations are pure functions.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import re
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -26,6 +27,15 @@ AGGREGATIONS = tuple(_BUCKET_UNITS)
 _FIRST_SECOND, _END_SECOND = -62135596800, 253402300800
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+# the first line as str.splitlines cuts it
+_FIRST_LINE = re.compile("[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+# characters that keep a file off the np.loadtxt pass: "+" (the loop's style
+# rule rejects "+5", loadtxt reads 5), "\x1f" (loadtxt strips it, float() does
+# not) and the line breaks of str.splitlines that numpy's reader does not split at
+_LOOP_ONLY = "+\x1f\x0b\x0c\x1c\x1d\x1e"
+# np.loadtxt opens a path through numpy's DataSource, which decompresses these
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+_ROWS_PER_BLOCK = 8192
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -280,35 +290,41 @@ def read_price_csv(path) -> PriceSeries:
     The timestamp style must be uniform within one file.  ISO timestamps
     without an offset are UTC and are floored to whole epoch seconds, so
     ``1969-12-31T23:59:59.5`` reads as -1.  NaN/inf prices are rejected.
+
     An epoch-style file is read in one ``np.loadtxt`` pass; any file that
     pass cannot read exactly as the line loop would goes through the loop,
-    which names the file and line of a bad row.
+    which names the file and line of a bad row.  The file is read twice:
+    once as text, for the header and for the guard that picks the pass, and
+    once by numpy's C reader from the path, since numpy streams a file in
+    chunks only when it opens the file itself and otherwise walks a
+    per-line Python iterator.
     """
     path = Path(path)
     text = read_utf8(path, DataError)
-    lines = text.splitlines()
-    if not lines or lines[0].strip().lower() != "timestamp,price":
+    if _FIRST_LINE.match(text).group().strip().lower() != "timestamp,price":
         raise DataError(f"{path}: expected header 'timestamp,price'")
-    # in ASCII text, a loadtxt pass that neither fails nor warns differs from
-    # the loop only where it reads "+5" as 5 (the loop's style rule rejects it)
-    # and strips "\x1f" (float() does not)
-    one_pass = text.isascii() and "+" not in text and "\x1f" not in text
-    prices = _read_epoch_rows(lines[1:]) if one_pass else None
-    return prices if prices is not None else _read_price_lines(path, lines)
+    # an ASCII file without _LOOP_ONLY characters splits into the same lines
+    # for numpy as for str.splitlines, and a pass over those lines that
+    # neither fails nor warns reads them as the loop does
+    one_pass = (text.isascii() and not any(c in text for c in _LOOP_ONLY)
+                and path.suffix not in _DECOMPRESSED_SUFFIXES)
+    prices = _read_epoch_rows(path) if one_pass else None
+    return prices if prices is not None else _read_price_lines(path, text.splitlines())
 
 
-def _read_epoch_rows(rows):
+def _read_epoch_rows(path: Path):
     """The series of an epoch-style file's data rows, read in one pass, or
     None where that pass might differ from :func:`_read_price_lines`."""
     # numpy releases that still parse a failed integer field through float
     # (so "1.5" reads as 1 and "1e20" overflows) only warn; a warning, like
-    # the "no data" one for an empty body, sends the file to the loop
+    # the "no data" one for an empty body, sends the file to the loop, as
+    # does a file that cannot be opened again
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
-                               dtype=[("t", "i8"), ("p", "f8")])
-        except (ValueError, Warning):
+            table = np.loadtxt(path, skiprows=1, encoding="utf-8", delimiter=",",
+                               comments=None, ndmin=1, dtype=[("t", "i8"), ("p", "f8")])
+        except (ValueError, OSError, Warning):
             return None
     if not np.all(np.isfinite(table["p"])):
         return None
@@ -345,15 +361,31 @@ def _read_price_lines(path: Path, lines) -> PriceSeries:
     return PriceSeries(np.array(ts, dtype=np.int64), np.array(px))
 
 
+def atomic_write(path, text) -> None:
+    """Write ``text``, a string or an iterable of strings, to ``path`` through a
+    sibling ``.tmp`` file and a rename, so that ``path`` never holds a
+    half-written file."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp, "w") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
+    os.replace(tmp, path)
+
+
 def write_price_csv(prices: PriceSeries, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("timestamp,price\n")
-        for t, p in zip(prices.timestamps, prices.prices):
-            fh.write(f"{int(t)},{float(p)!r}\n")
+    atomic_write(path, _price_csv_blocks(prices))
+
+
+def _price_csv_blocks(prices: PriceSeries):
+    # a block of rows per string: one string of all 97.5k rows of an
+    # ingest-size file raised the process's peak RSS by 14 MB
+    yield "timestamp,price\n"
+    ts, px = prices.timestamps, prices.prices
+    for a in range(0, len(ts), _ROWS_PER_BLOCK):
+        rows = zip(ts[a:a + _ROWS_PER_BLOCK].tolist(), px[a:a + _ROWS_PER_BLOCK].tolist())
+        yield "".join(f"{t},{p!r}\n" for t, p in rows)
 
 
 def write_rv_csv(rv: RVSeries, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("period,rv\n")
-        for lbl, v in zip(rv.period_labels, rv.rv):
-            fh.write(f"{lbl},{float(v)!r}\n")
+    rows = zip(rv.period_labels, rv.rv.tolist())
+    atomic_write(path, "period,rv\n" + "".join(f"{lbl},{v!r}\n" for lbl, v in rows))

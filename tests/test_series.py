@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volforge import series
 from volforge.errors import DataError
 from volforge.series import (MinMaxScaler, PriceSeries, ReturnSeries, RVSeries,
                              SplitSpec, _parse_timestamp, aggregate_log_rv,
                              apply_zero_floor, calendar_buckets, log_returns,
-                             read_price_csv, realized_volatility, split, write_rv_csv)
+                             read_price_csv, realized_volatility, split, write_price_csv,
+                             write_rv_csv)
 
 DAY = 86400
 
@@ -339,7 +341,9 @@ def assert_reads_as_line_loop(path):
 BAD_TIMESTAMPS = ["1.0", "1_000", "1e3", "#", "", "-", "--5", "0x10", "\u0661\u0662", "\uff11"]
 BAD_PRICES = ["nan", "-inf", "inf", "1e400", "1e-400", "#", "", "1_0", "0", "-1.5",
               "\u0661.\u0665", "0x10", "1,5"]
-PADDING = ["\x1f", "\xa0", "\u3000"]
+# line breaks of str.splitlines that numpy's reader does not split at
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+PADDING = ["\x1f", "\xa0", "\u3000"] + SPLITLINES_ONLY
 
 
 def iso_text(t, suffix):
@@ -383,7 +387,7 @@ def price_csv_texts(draw):
             row.append(draw(st.sampled_from(["", "1"])))
     header = draw(st.sampled_from(["timestamp,price"] * 12 + [" Timestamp,Price\t", "timestamp;price", ""]))
     text = "\n".join([header] + [",".join(row) for row in rows]) + draw(st.sampled_from(["\n", ""]))
-    return text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return text.replace("\n", draw(st.sampled_from(["\n"] * 5 + ["\r\n", "\r"] + SPLITLINES_ONLY)))
 
 
 @pytest.fixture(scope="class")
@@ -420,7 +424,7 @@ class TestReadPriceCsvMatchesLineLoop:
         "1577836800,100.0\n2020-01-01T00:01:00,101.0\n",
         "2020-01-01T00:00:00,100.0\n1577836860,101.0\n",
         "2020-01-01T00:00:00,100.0\n2020-01-01T00:01:00.5,101.0\n",
-    ])
+    ] + [f"0,100.0\n60{sep},101.0\n120,102.0\n" for sep in SPLITLINES_ONLY])
     def test_known_inputs(self, tmp_path, body):
         path = tmp_path / "prices.csv"
         path.write_text("timestamp,price\n" + body)
@@ -443,3 +447,51 @@ class TestReadPriceCsvMatchesLineLoop:
         monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
         with pytest.raises(DataError, match=message):
             read_price_csv(path)
+
+    def test_clean_epoch_file_skips_line_loop(self, tmp_path, monkeypatch):
+        def no_loop(path, lines):
+            raise AssertionError("clean epoch file went through the line loop")
+
+        prices = make_prices(100.0 + np.arange(1000) * 0.25)
+        path = tmp_path / "prices.csv"
+        write_price_csv(prices, path)
+        monkeypatch.setattr(series, "_read_price_lines", no_loop)
+        got = read_price_csv(path)
+        assert got.timestamps.tobytes() == prices.timestamps.tobytes()
+        assert got.prices.tobytes() == prices.prices.tobytes()
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_compressed_suffix(self, tmp_path, suffix):
+        # np.loadtxt would decompress a path with these suffixes
+        path = tmp_path / f"prices{suffix}"
+        path.write_text("timestamp,price\n0,100.0\n60,101.0\n")
+        assert_reads_as_line_loop(path)
+
+
+def old_write_price_csv(prices, path):
+    """write_price_csv as the per-row loop it replaced: the oracle."""
+    with open(path, "w") as fh:
+        fh.write("timestamp,price\n")
+        for t, p in zip(prices.timestamps, prices.prices):
+            fh.write(f"{int(t)},{float(p)!r}\n")
+
+
+def assert_writes_as_row_loop(prices, d):
+    write_price_csv(prices, d / "new.csv")
+    old_write_price_csv(prices, d / "old.csv")
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+    assert not (d / "new.csv.tmp").exists()
+
+
+@given(values=st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=2, max_size=40),
+       start=st.integers(-10**12, 10**12))
+@settings(max_examples=100, deadline=None)
+def test_write_price_csv_matches_row_loop(tmp_path_factory, values, start):
+    prices = PriceSeries(start + np.arange(len(values), dtype=np.int64) * 61, np.array(values))
+    assert_writes_as_row_loop(prices, tmp_path_factory.mktemp("write"))
+
+
+def test_write_price_csv_matches_row_loop_across_blocks(tmp_path):
+    n = 2 * series._ROWS_PER_BLOCK + 5
+    values = np.exp(np.random.default_rng(0).standard_normal(n)) * 100
+    assert_writes_as_row_loop(make_prices(values), tmp_path)
