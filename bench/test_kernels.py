@@ -17,7 +17,7 @@ import pytest
 from volforge.classical import (ArimaModel, _css_residual_fn, _pacf_coeffs, arima_fit,
                                 arima_order_select, arima_path, ewma_forecasts, har_fit,
                                 har_path)
-from volforge.garch import garch_fit, variance_path
+from volforge.garch import Innovations, garch_fit, variance_path
 from volforge.rnn import RnnConfig, init_weights, rnn_backward, rnn_forward, rnn_train
 from volforge.runner import ExperimentConfig
 from volforge.series import log_returns, read_price_csv, realized_volatility, write_price_csv
@@ -84,12 +84,16 @@ def test_pacf_to_coeffs(benchmark, k):
 
 
 # 49 and 89 returns: the GARCH fits' training and train+validation windows in
-# the classical_cascade workload, with the mean and seed variance garch_fit passes
+# the classical_cascade workload, with the mean and seed variance garch_fit passes.
+# On raw returns each call builds its Innovations; on a prepared holder it runs
+# only the loop, as every evaluation of a garch_fit does.
 @pytest.mark.parametrize("n", [49, 89])
-def test_variance_path(benchmark, n):
+@pytest.mark.parametrize("prepared", [False, True], ids=["raw", "prepared"])
+def test_variance_path(benchmark, n, prepared):
     r = np.random.default_rng(1).standard_normal(n) * 0.01
-    sigma2 = benchmark(variance_path, r, 1e-6, 0.05, 0.85, 0.08, float(np.mean(r)),
-                       float(np.var(r)))
+    mu = float(np.mean(r))
+    returns = Innovations(r, mu) if prepared else r
+    sigma2 = benchmark(variance_path, returns, 1e-6, 0.05, 0.85, 0.08, mu, float(np.var(r)))
     assert len(sigma2) == n
 
 

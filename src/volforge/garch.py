@@ -9,11 +9,14 @@ simplex optimizer runs unconstrained.
 Returns are per bucket, so the conditional standard deviation is compared
 with rv directly (M = 1 returns per bucket).
 
-A fit builds its objective once: the squared mean-adjusted returns are
-computed before the simplex starts.  Each evaluation calls ``variance_path``
-on the full training returns and shares the Gaussian log-likelihood
-expression with ``garch_loglik``; the model's ``loglik`` is the simplex
-optimum's objective, so the recursion does not run again after the fit.
+A fit builds its objective once: before the simplex starts it takes the
+squared mean-adjusted returns for the likelihood and an ``Innovations``
+holder (the squared lagged innovations and their signs as Python lists) for
+the recursion.  Each evaluation passes that holder to ``variance_path``, so
+it runs only the parameter-dependent loop, and shares the Gaussian
+log-likelihood expression with ``garch_loglik``; the model's ``loglik`` is
+the simplex optimum's objective, so the recursion does not run again after
+the fit.
 """
 
 from __future__ import annotations
@@ -58,26 +61,58 @@ class GarchModel:
                 f"loglik={self.loglik!r}\n")
 
 
+class Innovations:
+    """The fit-invariant inputs of the variance recursion for one
+    (returns, mu): eps[t-1]^2 and eps[t-1] < 0 for t >= 1, with
+    eps = returns - mu, as Python float and bool lists, and the returns
+    themselves for the default seed variance.  ``len()`` is the number of
+    returns."""
+
+    __slots__ = ("returns", "mu", "e2", "neg")
+
+    def __init__(self, returns, mu):
+        self.returns = np.asarray(returns, dtype=float)
+        self.mu = mu
+        eps = self.returns[:-1] - mu
+        self.e2 = (eps * eps).tolist()
+        self.neg = (eps < 0).tolist()
+
+    def __len__(self):
+        return len(self.returns)
+
+
 def variance_path(returns, omega, alpha, beta, gamma, mu, sigma2_0=None) -> np.ndarray:
     """Conditional-variance recursion; sigma2[0] defaults to the sample variance.
 
     sigma2[t] = (omega + shock * eps[t-1]^2) + beta * sigma2[t-1], with
-    shock = alpha + gamma after a negative eps and alpha otherwise.  The
-    bracketed input term is computed for every t at once; only the beta
-    feedback runs as a loop, over Python floats.
+    shock = alpha + gamma after a negative eps and alpha otherwise, run as
+    one loop over Python floats.  ``returns`` is either the raw returns or
+    an ``Innovations`` holder built for them with this ``mu``; a fit builds
+    the holder once and passes it to every evaluation.
+
+    A non-positive variance raises ``FitError``.  The scan for one runs only
+    when omega > 0, alpha >= 0, alpha + gamma >= 0 and beta >= 0 do not all
+    hold: when they do, every term is positive, inf or NaN.
     """
-    r = np.asarray(returns, dtype=float)
-    s = float(np.var(r)) if sigma2_0 is None else float(sigma2_0)
+    if isinstance(returns, Innovations):
+        inn = returns
+        # identity first: a NaN mean equals itself only by identity
+        if mu is not inn.mu and mu != inn.mu:
+            raise DataError(f"innovations were built for mu={inn.mu!r}, not {mu!r}")
+    else:
+        inn = Innovations(returns, mu)
+    s = float(np.var(inn.returns)) if sigma2_0 is None else float(sigma2_0)
     if s <= 0:
         raise DataError("zero-variance returns; GARCH undefined")
-    eps = r[:-1] - mu
-    inputs = omega + np.where(eps < 0, alpha + gamma, alpha) * (eps * eps)
+    shock_neg = alpha + gamma
     sigma2 = [s]
-    for x in inputs.tolist():
-        s = x + beta * s
-        sigma2.append(s)
+    append = sigma2.append
+    for e2, neg in zip(inn.e2, inn.neg):
+        s = (omega + (shock_neg if neg else alpha) * e2) + beta * s
+        append(s)
     sigma2 = np.array(sigma2)
-    if (sigma2 <= 0).any():
+    if not (omega > 0 and alpha >= 0 and shock_neg >= 0 and beta >= 0) \
+            and (sigma2 <= 0).any():
         raise FitError("non-positive conditional variance in recursion")
     return sigma2
 
@@ -148,12 +183,13 @@ def garch_fit(returns, flavor: str = "garch") -> GarchModel:
     include_gamma = flavor == "gjr"
     eps = r - mu
     e2 = eps * eps
+    inn = Innovations(r, mu)
 
     def neg_ll(x):
         omega, alpha, beta, gamma = _unpack(x.tolist(), include_gamma)
         try:
             # the module global, so a wrapped variance_path sees every call
-            return -_gaussian_loglik(variance_path(r, omega, alpha, beta, gamma, mu, var), e2)
+            return -_gaussian_loglik(variance_path(inn, omega, alpha, beta, gamma, mu, var), e2)
         except (FitError, OverflowError):
             return 1e12
 

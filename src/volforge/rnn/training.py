@@ -162,7 +162,8 @@ def rnn_gradient_check(config: RnnConfig) -> float:
     """Max relative error of analytic BPTT gradients vs central differences.
 
     Every parameter of every tensor is perturbed; dropout is forced off so
-    the objective is deterministic.
+    the objective is deterministic.  A NaN or infinite gradient, analytic or
+    numeric, makes the result NaN.
     """
     step = 1e-6
     if config.dropout != 0:
@@ -180,7 +181,7 @@ def rnn_gradient_check(config: RnnConfig) -> float:
     yhat, cache = rnn_forward(x, weights, config)
     _, dy = loss_and_grad(yhat, y, config.loss)
     analytic = rnn_backward(dy, cache, weights, config)
-    worst = 0.0
+    errors = []
     for name, arr in weights.items():
         arr = np.atleast_1d(arr)
         a_grad = np.atleast_1d(analytic[name])
@@ -195,5 +196,7 @@ def rnn_gradient_check(config: RnnConfig) -> float:
             numeric = (up - dn) / (2 * step)
             a = float(a_grad.ravel()[j])
             denom = max(abs(a) + abs(numeric), 1e-6)
-            worst = max(worst, abs(a - numeric) / denom)
-    return worst
+            errors.append(abs(a - numeric) / denom)
+    # np.max returns NaN if any error is NaN; the builtin max keeps or drops a
+    # NaN depending on where it stands
+    return float(np.max(errors))

@@ -449,7 +449,19 @@ def _versions():
     import platform
     import scipy
     return (("volforge", __version__), ("python", platform.python_version()),
-            ("numpy", np.__version__), ("scipy", scipy.__version__))
+            ("numpy", np.__version__), ("numpy_simd", _numpy_simd()),
+            ("scipy", scipy.__version__))
+
+
+def _numpy_simd():
+    """The SIMD feature sets numpy dispatches to on this host: its np.log,
+    np.exp, np.tanh and small-array sort kernels, and so some fitted bits,
+    can differ between them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:     # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return ",".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
 
 
 def emit_plot_data(records, periods, out_dir, suffix):

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from volforge import garch
 from volforge.errors import DataError, FitError
-from volforge.garch import (_MAX_PERSISTENCE, GarchModel, _unpack, garch_fit,
+from volforge.garch import (_MAX_PERSISTENCE, GarchModel, Innovations, _unpack, garch_fit,
                             garch_forecast_path, garch_loglik, variance_path)
 from volforge.simplex import minimize_simplex
 from volforge.synth import GarchSimSpec, simulate_garch
@@ -107,6 +107,59 @@ class TestVariancePathBitExact:
         r = simulate_garch(GarchSimSpec(1e-5, 0.1, 0.85, length=200, seed=4)).returns
         params = (1e-5, 0.1, 0.85, 0.05, 0.0)
         assert garch_loglik(params, r) == garch_loglik(params, r, float(np.var(r)))
+
+
+class TestInnovations:
+    """variance_path on a prepared holder runs the recursion it runs on raw
+    returns, bit for bit, and fails where the raw path fails."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(r=arrays(np.float64, st.integers(12, 400), elements=st.floats(-0.1, 0.1))
+           .filter(lambda r: np.var(r) > 0),
+           omega=st.floats(1e-8, 1e-3), alpha=st.floats(0.0, 0.3),
+           beta=st.floats(0.0, 0.69),
+           gamma=st.sampled_from([0.0, -0.0]) | st.floats(1e-6, 0.3),
+           mu=st.floats(-0.01, 0.01), seeded=st.booleans())
+    def test_prepared_matches_raw_and_loop(self, r, omega, alpha, beta, gamma, mu, seeded):
+        sigma2_0 = 2e-4 if seeded else None
+        inn = Innovations(r, mu)
+        assert len(inn) == len(r)
+        want = variance_path_loop(r, omega, alpha, beta, gamma, mu, sigma2_0).tobytes()
+        assert variance_path(inn, omega, alpha, beta, gamma, mu, sigma2_0).tobytes() == want
+        assert variance_path(r, omega, alpha, beta, gamma, mu, sigma2_0).tobytes() == want
+
+    @pytest.mark.parametrize("omega,alpha,beta,gamma", [
+        (-1e-3, 0.05, 0.85, 0.0),
+        (1e-6, -0.9, 0.0, 0.0),
+        (1e-6, 0.05, -0.5, 0.0),
+        (1e-6, 0.1, 0.0, -0.9),
+        (math.exp(-800.0), 0.0, 0.0, 0.0),
+    ], ids=["omega", "alpha", "beta", "alpha_plus_gamma", "omega_underflows"])
+    @pytest.mark.parametrize("prepared", [False, True], ids=["raw", "prepared"])
+    def test_non_positive_variance_raises(self, omega, alpha, beta, gamma, prepared):
+        r = np.array([0.1, -0.1] * 10)
+        assert (variance_path_loop(r, omega, alpha, beta, gamma, 0.0) <= 0).any()
+        returns = Innovations(r, 0.0) if prepared else r
+        with pytest.raises(FitError, match="non-positive"):
+            variance_path(returns, omega, alpha, beta, gamma, 0.0)
+
+    def test_holder_for_another_mean_is_rejected(self):
+        inn = Innovations([0.01, -0.02, 0.015], 0.0)
+        with pytest.raises(DataError, match="mu"):
+            variance_path(inn, 1e-5, 0.1, 0.8, 0.0, 0.001)
+
+    def test_fit_builds_one_holder_for_every_evaluation(self, monkeypatch):
+        seen = []
+
+        def recording(returns, *args):
+            seen.append(returns)
+            return variance_path(returns, *args)
+
+        monkeypatch.setattr(garch, "variance_path", recording)
+        r = simulate_garch(GarchSimSpec(1e-5, 0.1, 0.85, length=60, seed=3)).returns
+        garch_fit(r)
+        assert seen and all(x is seen[0] for x in seen)
+        assert isinstance(seen[0], Innovations) and len(seen[0]) == len(r)
 
 
 class TestLoglik:

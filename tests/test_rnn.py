@@ -517,6 +517,19 @@ class TestGradientCheck:
         cfg = RnnConfig(cell="gru", units=5, window=4, activation="tanh", seed=3)
         assert rnn_gradient_check(cfg) < 1e-4
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+    def test_non_finite_gradient_gives_nan(self, monkeypatch, bad, where):
+        # one bad analytic entry, in the first or the last tensor checked
+        def backward(*args):
+            grads = {k: np.array(v, dtype=float) for k, v in rnn_backward(*args).items()}
+            np.atleast_1d(grads[list(grads)[where]]).ravel()[0] = bad
+            return grads
+
+        monkeypatch.setattr(training, "rnn_backward", backward)
+        cfg = RnnConfig(cell="gru", units=5, window=2, seed=0)
+        assert math.isnan(rnn_gradient_check(cfg))
+
 
 class TestTraining:
     def train_series(self, n=200, seed=0):

@@ -187,6 +187,13 @@ class TestRunExperiment:
         assert "param.har.model=har" in text
         assert "timing.naive=" in text
 
+    def test_manifest_names_numpy_simd_dispatch(self, tmp_path):
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        run_experiment(self.small_config(), out_dir=tmp_path)
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        features = ",".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
+        assert f"version.numpy_simd={features}" in lines
+
     def test_manifest_dumps_the_ewma_model_the_test_path_runs(self):
         cfg = self.small_config(models=("ewma",))
         _, _, manifest = run_experiment(cfg)
@@ -506,6 +513,17 @@ class TestCli:
         monkeypatch.setattr("volforge.cli.rnn_gradient_check", lambda config: 1.0)
         assert main(["gradcheck", "--cell", "lstm"]) == EXIT_MODEL
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("errors", [[math.nan], [1e-6, math.nan], [math.nan, 1e-6]],
+                             ids=["one_cell", "second_cell", "first_cell"])
+    def test_gradcheck_nan_error_fails(self, monkeypatch, capsys, errors):
+        # max(0.0, nan) is 0.0, so a running max would let a NaN error pass
+        errs = iter(errors)
+        monkeypatch.setattr("volforge.cli.rnn_gradient_check", lambda config: next(errs))
+        cell = "lstm" if len(errors) == 1 else "both"
+        assert main(["gradcheck", "--cell", cell]) == EXIT_MODEL
+        out = capsys.readouterr().out
+        assert "nan" in out and "FAIL" in out and "PASS" not in out
 
 
 LEAK_V_START, LEAK_V_STOP, LEAK_T_STOP = 140, 170, 200
