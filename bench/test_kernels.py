@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from volforge.classical import (ArimaModel, _css_residual_fn, _pacf_coeffs, arima_fit,
-                                arima_order_select, arima_path, ewma_forecasts, har_fit,
-                                har_path)
+                                arima_order_select, arima_path, default_har_lag_grid,
+                                ewma_forecasts, har_fit, har_lag_search, har_path)
 from volforge.garch import Innovations, garch_fit, variance_path
 from volforge.rnn import RnnConfig, init_weights, rnn_backward, rnn_forward, rnn_train
 from volforge.runner import ExperimentConfig
@@ -134,6 +134,16 @@ def test_har_path(benchmark, rv):
     model = har_fit(rv[:2000])
     fc = benchmark(har_path, model, rv, 2000, 3000)
     assert len(fc) == 1000
+
+
+def test_har_lag_search(benchmark, cascade_train):
+    # the har_opt selection search of a classical_cascade op: all 351 default
+    # lag triples on the 50-point training window and the 40-point validation
+    # window that follows it (81 triples fit 50 points)
+    train, _ = cascade_train
+    source = build_source("cascade", {"length": 130, "noise_sd": 0.3}, 201)
+    model = benchmark(har_lag_search, train, source.rv[50:90], "MSE", default_har_lag_grid())
+    assert sum(math.isfinite(s) for _, s in model.search_log) == 81
 
 
 def test_arima_path(benchmark, rv):

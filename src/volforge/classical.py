@@ -20,6 +20,7 @@ objective's value at the simplex optimum) and ``arima_path`` all go through it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -33,6 +34,7 @@ from .simplex import minimize_simplex
 
 EWMA_GRID = tuple(np.round(np.arange(0.01, 1.00, 0.01), 2))   # alpha candidates
 HAR_LAGS = (1, 5, 22)   # daily, weekly and monthly horizons in trading days
+HAR_MIN_ROWS = 8        # regression rows a HAR fit needs
 
 
 def argmin_search(candidates, evaluate, failure: str):
@@ -174,38 +176,34 @@ class HarModel:
                 f"residual_variance={self.fit_residual_variance!r}\n")
 
 
-def har_design(values, lags):
-    """Regression rows [1, mean-log over d, w, m] and next-step log targets."""
-    values = np.asarray(values, dtype=float)
+def _har_rows(lags, n, min_rows=1):
+    """Regression rows t = m-1 .. n-2 over n values (row t predicts t + 1);
+    DataError unless 0 < d < w < m and there are at least ``min_rows`` of them."""
     d, w, m = lags
     if not (0 < d < w < m):
         raise DataError(f"lags must satisfy 0 < d < w < m, got {lags}")
-    n = len(values)
     if n < m + 2:
         raise DataError(f"need at least {m + 2} observations for lags {lags}, got {n}")
-    agg_d = aggregate_log_rv(values, d)
-    agg_w = aggregate_log_rv(values, w)
-    agg_m = aggregate_log_rv(values, m)
-    ts = np.arange(m - 1, n - 1)
-    X = np.column_stack([
-        np.ones(len(ts)),
-        agg_d[ts - (d - 1)],
-        agg_w[ts - (w - 1)],
-        agg_m[ts - (m - 1)],
-    ])
-    y = np.log(values[ts + 1])
-    return X, y
+    if n - m - 1 < min_rows:
+        raise DataError(f"only {n - m - 1} usable regression rows; need at least {min_rows}")
+    return np.arange(m - 1, n - 1)
 
 
-def har_fit(train, lags=HAR_LAGS) -> HarModel:
-    """OLS of next-step log rv on averaged log rv over the three horizons.
+def _har_regressors(agg, lags, ts):
+    """Rows ts of [1, mean-log over d, w, m], where ``agg(k)`` is the
+    ``aggregate_log_rv`` of the values over horizon k."""
+    return np.column_stack([np.ones(len(ts))] + [agg(k)[ts - (k - 1)] for k in lags])
 
-    Solved via the normal equations with a pseudo-inverse fallback when the
-    design is rank deficient (e.g. a constant series).
-    """
-    X, y = har_design(train, lags)
-    if len(y) < 8:
-        raise DataError(f"only {len(y)} usable regression rows; need at least 8")
+
+def har_design(values, lags):
+    """Regression rows [1, mean-log over d, w, m] and next-step log targets."""
+    values = np.asarray(values, dtype=float)
+    ts = _har_rows(lags, len(values))
+    X = _har_regressors(lambda k: aggregate_log_rv(values, k), lags, ts)
+    return X, np.log(values[ts + 1])
+
+
+def _har_ols(X, y, lags) -> HarModel:
     A = X.T @ X
     b = X.T @ y
     try:
@@ -220,10 +218,28 @@ def har_fit(train, lags=HAR_LAGS) -> HarModel:
                     float(beta[3]), fit_residual_variance=float(np.mean(resid * resid)))
 
 
+def har_fit(train, lags=HAR_LAGS) -> HarModel:
+    """OLS of next-step log rv on averaged log rv over the three horizons.
+
+    Needs at least 8 regression rows.  Solved via the normal equations with a
+    pseudo-inverse fallback when the design is rank deficient (e.g. a
+    constant series).
+    """
+    _har_rows(lags, len(train), HAR_MIN_ROWS)
+    return _har_ols(*har_design(train, lags), lags)
+
+
+def _har_predict(model: HarModel, mean_log) -> np.ndarray:
+    """exp(c + beta_d mean_log(d) + beta_w mean_log(w) + beta_m mean_log(m))."""
+    d, w, m = model.lags
+    return np.exp(model.c + model.beta_d * mean_log(d) + model.beta_w * mean_log(w)
+                  + model.beta_m * mean_log(m))
+
+
 def har_path(model: HarModel, values, start: int, stop: int) -> np.ndarray:
     """exp of the log-space regression prediction from values[:t] for each t
     in [start, stop); no smearing correction."""
-    d, w, m = model.lags
+    m = model.lags[2]
     if start < m:
         raise DataError(f"history of length {start} shorter than longest lag {m}")
     if stop <= start:
@@ -237,9 +253,7 @@ def har_path(model: HarModel, values, start: int, stop: int) -> np.ndarray:
         # mean of log values[t - k:t] for each t in [start, stop)
         return sliding_window_view(logs[m - k:], k).mean(axis=1)
 
-    pred = (model.c + model.beta_d * mean_log(d) + model.beta_w * mean_log(w)
-            + model.beta_m * mean_log(m))
-    return np.exp(pred)
+    return _har_predict(model, mean_log)
 
 
 def har_forecast(model: HarModel, history) -> float:
@@ -251,15 +265,34 @@ def har_lag_search(train, valid, metric: str, lag_grid) -> HarModel:
     """Refit per (d, w, m) candidate, pick the validation-metric argmin.
 
     Ties break toward the lexicographically smallest lag triple.  Candidates
-    whose fit fails (too few rows) are logged with an inf metric.
+    whose fit fails (bad lags, too few rows, non-positive rv) are logged with
+    an inf metric.  Each horizon k is computed once per search, not per
+    triple: its training ``aggregate_log_rv``, the log targets of each m and
+    its validation mean-log.  They are the elementwise logs, cumsum
+    differences and sliding means ``har_fit`` and ``har_path`` take over the
+    same values, so every model and score keeps its bits.  No log is taken
+    before the length and positivity checks that guard it there.
     """
     train = np.asarray(train, dtype=float)
     valid = np.asarray(valid, dtype=float)
+    if len(valid) == 0:
+        raise DataError("har_lag_search needs a non-empty validation window")
     full = np.concatenate([train, valid])
+    n, stop = len(train), len(full)
+    agg = functools.cache(lambda k: aggregate_log_rv(train, k))
+    target = functools.cache(lambda m: np.log(train[m:]))
+    mean_log = functools.cache(
+        lambda k: sliding_window_view(np.log(full[n - k:stop - 1]), k).mean(axis=1))
+    # a fit has seen every training value positive, so har_path's window
+    # check reduces to the validation values it reads
+    history_ok = not np.any(valid[:-1] <= 0)
 
     def evaluate(lags):
-        model = har_fit(train, lags)
-        return model, error_metric(metric, valid, har_path(model, full, len(train), len(full)))
+        ts = _har_rows(lags, n, HAR_MIN_ROWS)
+        model = _har_ols(_har_regressors(agg, lags, ts), target(lags[2]), lags)
+        if not history_ok:
+            raise DataError("history contains non-positive rv; apply the zero-floor first")
+        return model, error_metric(metric, valid, _har_predict(model, mean_log))
 
     best, log = argmin_search(sorted(tuple(l) for l in lag_grid), evaluate,
                               "no HAR lag candidate could be fitted")

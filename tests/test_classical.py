@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from volforge.classical import (ArimaModel, EwmaModel, HarModel, _css_residual_f
                                 argmin_search, har_forecast, har_lag_search,
                                 har_path, naive_path)
 from volforge.errors import DataError, FitError
+from volforge.evaluation import error_metric
 from volforge.simplex import minimize_simplex
 from volforge.synth import simulate_log_vol_cascade
 
@@ -555,3 +557,96 @@ class TestArimaObjectiveOracle:
         for g, w in zip(got[:2], want[:2]):
             assert [v.hex() for v in g] == [v.hex() for v in w]
         assert [v.hex() for v in got[2:]] == [v.hex() for v in want[2:]]
+
+
+def har_lag_search_loop(train, valid, metric, lag_grid):
+    """The HAR lag search as a refit per triple: ``har_fit`` and ``har_path``
+    rebuild every horizon's aggregates, targets and logs for each (d, w, m)."""
+    train = np.asarray(train, dtype=float)
+    valid = np.asarray(valid, dtype=float)
+    full = np.concatenate([train, valid])
+
+    def evaluate(lags):
+        model = har_fit(train, lags)
+        return model, error_metric(metric, valid, har_path(model, full, len(train), len(full)))
+
+    best, log = argmin_search(sorted(tuple(l) for l in lag_grid), evaluate,
+                              "no HAR lag candidate could be fitted")
+    return replace(best, search_log=log)
+
+
+def har_search_bits(search, train, valid, metric, grid):
+    """The winner's lags and coefficient bits with the search log's score bits,
+    or the FitError's message and logged score bits."""
+    try:
+        model = search(train, valid, metric, grid)
+    except FitError as exc:
+        return str(exc), [(c, s.hex()) for c, s in exc.diagnostics["search_log"]]
+    fields = (model.c, model.beta_d, model.beta_w, model.beta_m, model.fit_residual_variance)
+    return (model.lags, [v.hex() for v in fields],
+            [(c, float(s).hex()) for c, s in model.search_log])
+
+
+def cascade(n, seed):
+    return simulate_log_vol_cascade(-0.4, 0.35, 0.3, 0.25, noise_sd=0.3,
+                                    length=n, seed=seed).rv
+
+
+# per-search horizons must leave no log(0) warning behind that the loop avoids
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestHarLagSearchOracle:
+    """har_lag_search's per-horizon caches give the per-triple refit's bits."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), n_train=st.integers(30, 160),
+           n_valid=st.integers(1, 60), metric=st.sampled_from(["MSE", "MAE"]))
+    def test_default_grid(self, seed, n_train, n_valid, metric):
+        rv = cascade(n_train + n_valid, seed)
+        train, valid = rv[:n_train], rv[n_train:]
+        grid = default_har_lag_grid()
+        assert (har_search_bits(har_lag_search, train, valid, metric, grid)
+                == har_search_bits(har_lag_search_loop, train, valid, metric, grid))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), n_train=st.integers(10, 80),
+           n_valid=st.integers(1, 30), metric=st.sampled_from(["MSE", "MAE"]),
+           fault=st.sampled_from([None, "train", "valid", "valid_last"]),
+           grid=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 30), st.integers(0, 70)),
+                         min_size=1, max_size=25),
+           data=st.data())
+    def test_drawn_grids_and_faults(self, seed, n_train, n_valid, metric, fault, grid, data):
+        # a drawn grid holds invalid triples (d >= w, w >= m, m too long for
+        # the rows) and repeats some triples
+        grid = grid + data.draw(st.lists(st.sampled_from(grid), max_size=5), label="repeats")
+        rv = cascade(n_train + n_valid, seed).copy()
+        if fault == "train":
+            rv[data.draw(st.integers(0, n_train - 1), label="at")] = -rv[0]
+        elif fault == "valid":
+            rv[n_train + data.draw(st.integers(0, max(n_valid - 2, 0)), label="at")] = 0.0
+        elif fault == "valid_last":
+            rv[-1] = 0.0
+        train, valid = rv[:n_train], rv[n_train:]
+        assert (har_search_bits(har_lag_search, train, valid, metric, grid)
+                == har_search_bits(har_lag_search_loop, train, valid, metric, grid))
+
+    def test_zero_in_validation_history_fails_every_triple(self):
+        rv = cascade(130, 201).copy()
+        rv[70] = 0.0
+        with pytest.raises(FitError, match="no HAR lag candidate") as exc:
+            har_lag_search(rv[:50], rv[50:90], "MSE", default_har_lag_grid())
+        assert all(s == math.inf for _, s in exc.value.diagnostics["search_log"])
+        assert (har_search_bits(har_lag_search, rv[:50], rv[50:90], "MSE", default_har_lag_grid())
+                == har_search_bits(har_lag_search_loop, rv[:50], rv[50:90], "MSE",
+                                   default_har_lag_grid()))
+
+    def test_zero_as_last_validation_value_is_only_a_target(self):
+        rv = cascade(130, 202).copy()
+        rv[89] = 0.0
+        got = har_search_bits(har_lag_search, rv[:50], rv[50:90], "MAE", default_har_lag_grid())
+        assert got == har_search_bits(har_lag_search_loop, rv[:50], rv[50:90], "MAE",
+                                      default_har_lag_grid())
+        assert sum(math.isfinite(float.fromhex(s)) for _, s in got[2]) == 81
+
+    def test_empty_validation_window_errors(self):
+        with pytest.raises(DataError, match="non-empty validation"):
+            har_lag_search(cascade(60, 1), [], "MSE", [(1, 5, 22)])
