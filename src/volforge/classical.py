@@ -428,7 +428,9 @@ def arima_fit(train, order) -> ArimaModel:
 
     Stationarity and invertibility are enforced through the tanh /
     Durbin-Levinson reparameterization; the intercept is estimated only when
-    d = 0 (differenced models carry no drift term).
+    d = 0 (differenced models carry no drift term).  The simplex hands the
+    objective x = [c if d = 0, AR pacf logits, MA pacf logits] as a list of
+    floats; ``_pacf_coeffs`` builds its ``np.tanh`` array from each slice.
     """
     p, d, q = order
     if p < 0 or d < 0 or q < 0:
@@ -440,7 +442,7 @@ def arima_fit(train, order) -> ArimaModel:
             f"need more than {10 * (p + q + 1)} observations after differencing for order {order}, "
             f"got {len(z)}")
     has_c = d == 0
-    i_ar = 1 if has_c else 0    # x = [c if has_c, AR pacf logits, MA pacf logits]
+    i_ar = 1 if has_c else 0
     i_ma = i_ar + p
     residuals = _css_residual_fn(z, p, q)
     if i_ma + q == 0:
@@ -456,9 +458,7 @@ def arima_fit(train, order) -> ArimaModel:
     def neg_ll(x):
         return -_gaussian_css(residuals(*unpack(x)))[0]
 
-    x0 = np.zeros(i_ma + q)
-    if has_c:
-        x0[0] = float(np.mean(z))
+    x0 = ([float(np.mean(z))] if has_c else []) + [0.0] * (p + q)
     x_best, f_best, _ = minimize_simplex(neg_ll, x0)
     c, phi, theta = unpack(x_best)
     ll, sigma2 = _gaussian_css(residuals(c, phi, theta))

@@ -9,14 +9,14 @@ simplex optimizer runs unconstrained.
 Returns are per bucket, so the conditional standard deviation is compared
 with rv directly (M = 1 returns per bucket).
 
-A fit builds its objective once: before the simplex starts it takes the
-squared mean-adjusted returns for the likelihood and an ``Innovations``
-holder (the squared lagged innovations and their signs as Python lists) for
-the recursion.  Each evaluation passes that holder to ``variance_path``, so
-it runs only the parameter-dependent loop, and shares the Gaussian
-log-likelihood expression with ``garch_loglik``; the model's ``loglik`` is
-the simplex optimum's objective, so the recursion does not run again after
-the fit.
+Every likelihood reads its fit-invariant state from one ``Innovations``
+holder: the squared mean-adjusted returns, and the squared lagged
+innovations and their signs as Python lists.  A fit builds the holder once,
+before the simplex starts, and each evaluation (handed a list of floats by
+the simplex) passes it to ``variance_path``, so it runs only the
+parameter-dependent loop, and shares the Gaussian log-likelihood expression
+with ``garch_loglik``; the model's ``loglik`` is the simplex optimum's
+objective, so the recursion does not run again after the fit.
 """
 
 from __future__ import annotations
@@ -62,45 +62,39 @@ class GarchModel:
 
 
 class Innovations:
-    """The fit-invariant inputs of the variance recursion for one
-    (returns, mu): eps[t-1]^2 and eps[t-1] < 0 for t >= 1, with
-    eps = returns - mu, as Python float and bool lists, and the returns
-    themselves for the default seed variance.  ``len()`` is the number of
+    """The fit-invariant state of a GARCH likelihood for one (returns, mu),
+    with eps = returns - mu: the returns (for the default seed variance),
+    ``sq`` = eps^2 as an array (the likelihood's squared innovations), and
+    ``e2`` = eps[t-1]^2 and ``neg`` = eps[t-1] < 0 for t >= 1 as Python float
+    and bool lists (the recursion's inputs).  ``len()`` is the number of
     returns."""
 
-    __slots__ = ("returns", "mu", "e2", "neg")
+    __slots__ = ("returns", "sq", "e2", "neg")
 
     def __init__(self, returns, mu):
         self.returns = np.asarray(returns, dtype=float)
-        self.mu = mu
-        eps = self.returns[:-1] - mu
-        self.e2 = (eps * eps).tolist()
-        self.neg = (eps < 0).tolist()
+        eps = self.returns - mu
+        self.sq = eps * eps
+        self.e2 = self.sq[:-1].tolist()
+        self.neg = (eps[:-1] < 0).tolist()
 
     def __len__(self):
         return len(self.returns)
 
 
-def variance_path(returns, omega, alpha, beta, gamma, mu, sigma2_0=None) -> np.ndarray:
-    """Conditional-variance recursion; sigma2[0] defaults to the sample variance.
+def variance_path(inn, omega, alpha, beta, gamma, sigma2_0=None) -> np.ndarray:
+    """Conditional-variance recursion over the ``Innovations`` holder ``inn``;
+    sigma2[0] defaults to the sample variance of its returns.
 
     sigma2[t] = (omega + shock * eps[t-1]^2) + beta * sigma2[t-1], with
     shock = alpha + gamma after a negative eps and alpha otherwise, run as
-    one loop over Python floats.  ``returns`` is either the raw returns or
-    an ``Innovations`` holder built for them with this ``mu``; a fit builds
-    the holder once and passes it to every evaluation.
+    one loop over Python floats.  A fit builds the holder once and passes it
+    to every evaluation.
 
     A non-positive variance raises ``FitError``.  The scan for one runs only
     when omega > 0, alpha >= 0, alpha + gamma >= 0 and beta >= 0 do not all
     hold: when they do, every term is positive, inf or NaN.
     """
-    if isinstance(returns, Innovations):
-        inn = returns
-        # identity first: a NaN mean equals itself only by identity
-        if mu is not inn.mu and mu != inn.mu:
-            raise DataError(f"innovations were built for mu={inn.mu!r}, not {mu!r}")
-    else:
-        inn = Innovations(returns, mu)
     s = float(np.var(inn.returns)) if sigma2_0 is None else float(sigma2_0)
     if s <= 0:
         raise DataError("zero-variance returns; GARCH undefined")
@@ -121,12 +115,10 @@ def garch_loglik(params, returns, sigma2_0=None) -> float:
     """Gaussian log-likelihood of (omega, alpha, beta, gamma, mu) on returns;
     ``sigma2_0`` seeds the variance path (default: the sample variance)."""
     omega, alpha, beta, gamma, mu = params
-    r = np.asarray(returns, dtype=float)
-    if len(r) < 10:
+    inn = Innovations(returns, mu)
+    if len(inn) < 10:
         raise DataError("need at least 10 returns for the likelihood")
-    sigma2 = variance_path(r, omega, alpha, beta, gamma, mu, sigma2_0)
-    eps = r - mu
-    return _gaussian_loglik(sigma2, eps * eps)
+    return _gaussian_loglik(variance_path(inn, omega, alpha, beta, gamma, sigma2_0), inn.sq)
 
 
 def _gaussian_loglik(sigma2, e2) -> float:
@@ -181,15 +173,13 @@ def garch_fit(returns, flavor: str = "garch") -> GarchModel:
         raise FitError("degenerate data: zero return variance")
     mu = float(np.mean(r))
     include_gamma = flavor == "gjr"
-    eps = r - mu
-    e2 = eps * eps
     inn = Innovations(r, mu)
 
     def neg_ll(x):
-        omega, alpha, beta, gamma = _unpack(x.tolist(), include_gamma)
+        omega, alpha, beta, gamma = _unpack(x, include_gamma)
         try:
             # the module global, so a wrapped variance_path sees every call
-            return -_gaussian_loglik(variance_path(inn, omega, alpha, beta, gamma, mu, var), e2)
+            return -_gaussian_loglik(variance_path(inn, omega, alpha, beta, gamma, var), inn.sq)
         except (FitError, OverflowError):
             return 1e12
 
@@ -201,7 +191,7 @@ def garch_fit(returns, flavor: str = "garch") -> GarchModel:
           math.log((0.05 / s0) / (1 - 0.05 / s0))]
     if include_gamma:
         x0 = x0[:2] + [math.log(0.05 / 0.85), math.log(0.025 / 0.85)]
-    x_best, f_best, _ = minimize_simplex(neg_ll, np.array(x0))
+    x_best, f_best, _ = minimize_simplex(neg_ll, x0)
     # one polish restart from the incumbent guards against premature collapse
     x_best, f_best, _ = minimize_simplex(neg_ll, x_best)
     if f_best >= 1e12:
@@ -220,6 +210,6 @@ def garch_forecast_path(model: GarchModel, returns, start: int, stop: int) -> np
     if start < 2:
         raise DataError(f"GARCH path needs start >= 2 to seed its variance, got {start}")
     r = np.asarray(returns, dtype=float)[:stop]
-    sigma2 = variance_path(r, model.omega, model.alpha, model.beta, model.gamma,
-                           model.mu, sigma2_0=float(np.var(r[:start])))
+    sigma2 = variance_path(Innovations(r, model.mu), model.omega, model.alpha, model.beta,
+                           model.gamma, sigma2_0=float(np.var(r[:start])))
     return np.sqrt(sigma2[start:stop])

@@ -325,7 +325,7 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
                 synth_params[k[len("synth."):]] = _parse_scalar(v)
             else:
                 raise ConfigError(f"unknown config key {k!r}")
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:   # a zero step, an inf bound
         raise ConfigError(f"bad config value: {exc}") from exc
     if synth_params:
         args["synth_params"] = tuple(synth_params.items())

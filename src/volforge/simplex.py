@@ -41,8 +41,9 @@ def _sorted(sim, fsim):
 def minimize_simplex(fn, x0, max_iter=None):
     """Nelder-Mead minimization with deterministic initialization.
 
-    At most max_iter iterations (default 500 per parameter) and 4 * max_iter
-    calls of fn.  Returns (x_best, f_best, n_iter).  Raises FitError with
+    fn gets each point as a fresh list of Python floats.  At most max_iter
+    iterations (default 500 per parameter) and 4 * max_iter calls of fn.
+    Returns (x_best, f_best, n_iter), x_best an ndarray.  Raises FitError with
     best-so-far diagnostics when the objective is non-finite at the optimum.
     """
     x0 = np.asarray(x0, dtype=float).tolist()
@@ -64,7 +65,7 @@ def minimize_simplex(fn, x0, max_iter=None):
         if nfev >= max_fev:
             raise _CapReached
         nfev += 1
-        return float(fn(np.array(x)))   # each call gets its own array
+        return float(fn(list(x)))   # each call gets its own list
 
     fsim = [math.inf] * (n + 1)
     try:

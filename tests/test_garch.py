@@ -27,7 +27,7 @@ class TestVariancePath:
     def test_three_obs_hand_recursion(self):
         r = [0.01, -0.02, 0.015]
         omega, alpha, beta = 1e-5, 0.1, 0.8
-        s2 = variance_path(r, omega, alpha, beta, 0.0, 0.0)
+        s2 = variance_path(Innovations(r, 0.0), omega, alpha, beta, 0.0)
         v0 = np.var(r)
         v1 = omega + alpha * 0.01 ** 2 + beta * v0
         v2 = omega + alpha * 0.02 ** 2 + beta * v1
@@ -35,20 +35,20 @@ class TestVariancePath:
 
     def test_alpha_beta_zero_collapses_to_omega(self):
         r = np.random.default_rng(0).standard_normal(20) * 0.01
-        s2 = variance_path(r, 4e-4, 0.0, 0.0, 0.0, 0.0)
+        s2 = variance_path(Innovations(r, 0.0), 4e-4, 0.0, 0.0, 0.0)
         np.testing.assert_allclose(s2[1:], 4e-4)
 
     def test_gjr_asymmetric_response(self):
         # identical magnitude shocks: negative one raises variance more
-        up = variance_path([0.0, 0.02, 0.0], 1e-5, 0.05, 0.8, 0.1, 0.0,
+        up = variance_path(Innovations([0.0, 0.02, 0.0], 0.0), 1e-5, 0.05, 0.8, 0.1,
                            sigma2_0=1e-4)
-        dn = variance_path([0.0, -0.02, 0.0], 1e-5, 0.05, 0.8, 0.1, 0.0,
+        dn = variance_path(Innovations([0.0, -0.02, 0.0], 0.0), 1e-5, 0.05, 0.8, 0.1,
                            sigma2_0=1e-4)
         assert dn[2] > up[2]
         assert dn[2] - up[2] == pytest.approx(0.1 * 0.02 ** 2, rel=1e-10)
 
     def test_explicit_initial_variance(self):
-        s2 = variance_path([0.0, 0.0], 1e-5, 0.1, 0.8, 0.0, 0.0, sigma2_0=2e-4)
+        s2 = variance_path(Innovations([0.0, 0.0], 0.0), 1e-5, 0.1, 0.8, 0.0, sigma2_0=2e-4)
         assert s2[0] == 2e-4
         assert s2[1] == pytest.approx(1e-5 + 0.8 * 2e-4, rel=1e-12)
 
@@ -58,7 +58,7 @@ class TestVariancePath:
         # zero shocks at mu keep the variance moving toward and holding at
         # omega + beta*sigma2; start exactly at the no-shock fixed point
         fp = omega / (1 - beta)
-        s2 = variance_path(np.zeros(10), omega, alpha, beta, 0.0, 0.0, sigma2_0=fp)
+        s2 = variance_path(Innovations(np.zeros(10), 0.0), omega, alpha, beta, 0.0, sigma2_0=fp)
         np.testing.assert_allclose(s2, fp, rtol=1e-12)
         assert fp < ubar
 
@@ -88,7 +88,7 @@ class TestVariancePathBitExact:
     def test_matches_loop(self, r, omega, alpha, beta, gamma, mu, seeded):
         sigma2_0 = 2e-4 if seeded else None
         assert np.array_equal(
-            variance_path(r, omega, alpha, beta, gamma, mu, sigma2_0),
+            variance_path(Innovations(r, mu), omega, alpha, beta, gamma, sigma2_0),
             variance_path_loop(r, omega, alpha, beta, gamma, mu, sigma2_0))
 
     @settings(max_examples=100, deadline=None)
@@ -110,8 +110,8 @@ class TestVariancePathBitExact:
 
 
 class TestInnovations:
-    """variance_path on a prepared holder runs the recursion it runs on raw
-    returns, bit for bit, and fails where the raw path fails."""
+    """variance_path on a holder runs the per-step recursion on the raw
+    returns, bit for bit, and fails where it has a non-positive variance."""
 
     @settings(max_examples=150, deadline=None)
     @given(r=arrays(np.float64, st.integers(12, 400), elements=st.floats(-0.1, 0.1))
@@ -120,13 +120,18 @@ class TestInnovations:
            beta=st.floats(0.0, 0.69),
            gamma=st.sampled_from([0.0, -0.0]) | st.floats(1e-6, 0.3),
            mu=st.floats(-0.01, 0.01), seeded=st.booleans())
-    def test_prepared_matches_raw_and_loop(self, r, omega, alpha, beta, gamma, mu, seeded):
+    def test_holder_matches_loop(self, r, omega, alpha, beta, gamma, mu, seeded):
         sigma2_0 = 2e-4 if seeded else None
         inn = Innovations(r, mu)
         assert len(inn) == len(r)
         want = variance_path_loop(r, omega, alpha, beta, gamma, mu, sigma2_0).tobytes()
-        assert variance_path(inn, omega, alpha, beta, gamma, mu, sigma2_0).tobytes() == want
-        assert variance_path(r, omega, alpha, beta, gamma, mu, sigma2_0).tobytes() == want
+        assert variance_path(inn, omega, alpha, beta, gamma, sigma2_0).tobytes() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=arrays(np.float64, st.integers(1, 50), elements=st.floats(-0.1, 0.1)),
+           mu=st.sampled_from([0.0, -0.0, math.nan]) | st.floats(-0.01, 0.01))
+    def test_sq_is_the_squared_innovations(self, r, mu):
+        assert Innovations(r, mu).sq.tobytes() == ((r - mu) * (r - mu)).tobytes()
 
     @pytest.mark.parametrize("omega,alpha,beta,gamma", [
         (-1e-3, 0.05, 0.85, 0.0),
@@ -137,16 +142,14 @@ class TestInnovations:
     ], ids=["omega", "alpha", "beta", "alpha_plus_gamma", "omega_underflows"])
     @pytest.mark.parametrize("prepared", [False, True], ids=["raw", "prepared"])
     def test_non_positive_variance_raises(self, omega, alpha, beta, gamma, prepared):
+        # raw returns reach the recursion through the holder garch_loglik builds
         r = np.array([0.1, -0.1] * 10)
         assert (variance_path_loop(r, omega, alpha, beta, gamma, 0.0) <= 0).any()
-        returns = Innovations(r, 0.0) if prepared else r
         with pytest.raises(FitError, match="non-positive"):
-            variance_path(returns, omega, alpha, beta, gamma, 0.0)
-
-    def test_holder_for_another_mean_is_rejected(self):
-        inn = Innovations([0.01, -0.02, 0.015], 0.0)
-        with pytest.raises(DataError, match="mu"):
-            variance_path(inn, 1e-5, 0.1, 0.8, 0.0, 0.001)
+            if prepared:
+                variance_path(Innovations(r, 0.0), omega, alpha, beta, gamma)
+            else:
+                garch_loglik((omega, alpha, beta, gamma, 0.0), r)
 
     def test_fit_builds_one_holder_for_every_evaluation(self, monkeypatch):
         seen = []
@@ -167,7 +170,7 @@ class TestLoglik:
         r = np.array([0.01, -0.02, 0.015, 0.0, 0.005, -0.01, 0.02, 0.0,
                       -0.005, 0.01])
         params = (1e-5, 0.1, 0.8, 0.0, 0.001)
-        s2 = variance_path(r, *params)
+        s2 = variance_path(Innovations(r, 0.001), *params[:4])
         eps = r - 0.001
         expect = -0.5 * np.sum(_LOG_2PI + np.log(s2) + eps ** 2 / s2)
         assert garch_loglik(params, r) == pytest.approx(expect, rel=1e-12)
@@ -180,14 +183,14 @@ class TestLoglik:
 class TestStepAndForecast:
     def test_step_substitution(self):
         # 1e-5 + 0.1*0.0004 + 0.8*0.0001
-        s2 = variance_path(np.array([0.02, 0.0]), 1e-5, 0.1, 0.8, 0.0, 0.0, sigma2_0=1e-4)
+        s2 = variance_path(Innovations([0.02, 0.0], 0.0), 1e-5, 0.1, 0.8, 0.0, sigma2_0=1e-4)
         assert s2[1] == pytest.approx(1.3e-4, rel=1e-12)
 
     def test_forecast_path_matches_manual_loop(self):
         r = simulate_garch(GarchSimSpec(1e-5, 0.1, 0.85, length=300, seed=3)).returns
         m = garch_fit(r[:200])
         path = garch_forecast_path(m, r, 200, 300)
-        s2 = variance_path(r, m.omega, m.alpha, m.beta, m.gamma, m.mu,
+        s2 = variance_path(Innovations(r, m.mu), m.omega, m.alpha, m.beta, m.gamma,
                            sigma2_0=float(np.var(r[:200])))
         for k, t in enumerate(range(200, 300)):
             assert path[k] == pytest.approx(

@@ -358,6 +358,8 @@ class TestCli:
         "synth.length = 700.5\n",
         "ewma.grid = 0.5:1.5:0.5\nmodels = ewma\n",
         "ewma.grid = 0.9:0.1:0.1\nmodels = ewma\n",
+        "ewma.grid = 0.01:inf:0.01\nmodels = ewma\n",
+        "ewma.grid = -inf:0.99:0.01\nmodels = ewma\n",
         "split.validation = 0\n",
         "data.aggregation = week\n",
         "har.lags = 5,1,22\nmodels = har\n",

@@ -115,18 +115,31 @@ class TestContract:
         np.testing.assert_allclose(x, [1.5, -0.5], atol=1e-6)
         assert f < 1e-12 and 1 < nit < 1000
 
-    def test_each_call_gets_its_own_float_array(self):
+    def test_each_call_gets_its_own_float_list(self):
         seen = []
 
         def fn(x):
-            assert isinstance(x, np.ndarray) and x.dtype == np.float64
+            assert type(x) is list and all(type(v) is float for v in x)
             seen.append(x)
-            return float(np.sum(x * x))
-        minimize_simplex(fn, [1.0, 2.0], max_iter=20)
+            return sum(v * v for v in x)
+        minimize_simplex(fn, np.array([1.0, 2.0]), max_iter=20)
         assert len({id(x) for x in seen}) == len(seen)
 
+    def test_objective_may_mutate_its_argument(self):
+        def fn(x):
+            return sum((i + 1.0) * (v - 0.3) ** 2 for i, v in enumerate(x))
+
+        def mutating(x):
+            f = fn(x)
+            x[0] += 1.0
+            return f
+        x0 = [0.5, -1.0, 2.0]
+        x, f, nit = minimize_simplex(mutating, x0)
+        x_ref, f_ref, nit_ref = minimize_simplex(fn, x0)
+        assert (x.tobytes(), f.hex(), nit) == (x_ref.tobytes(), f_ref.hex(), nit_ref)
+
     def test_evaluations_capped_at_four_times_iterations(self):
-        fn = counted(lambda x: float(np.sum(np.abs(x - 3.0))))
+        fn = counted(lambda x: sum(abs(v - 3.0) for v in x))
         _, _, nit = minimize_simplex(fn, [0.0] * 4, max_iter=10)
         assert fn.calls <= 40 and nit <= 10
 
