@@ -159,26 +159,16 @@ def build_report(records, reference: str, failures=()) -> EvalReport:
         raise DataError(f"reference model {reference!r} not among records")
     base = records[0].actual
     for r in records[1:]:
-        if len(r.actual) != len(base) or not np.array_equal(r.actual, base):
+        if not np.array_equal(r.actual, base):
             raise DataError(f"record {r.model_id!r} does not share the evaluation window")
     ref = by_id[reference]
     rows = []
     for rec in records:
         m = point_metrics(rec)
-        if rec.model_id == reference:
-            dm_sq = dm_abs = None
-        else:
-            try:
-                dm_sq = dm_test(rec, ref, loss="squared")
-            except DataError:
-                dm_sq = None
-            try:
-                dm_abs = dm_test(rec, ref, loss="absolute")
-            except DataError:
-                dm_abs = None
+        dm = [None if rec.model_id == reference else _dm_or_none(rec, ref, loss)
+              for loss in LOSSES]
         last = float(rec.predicted[-1])
-        rows.append(ReportRow(rec.model_id, m["MSE"], m["RMSE"], m["MAE"],
-                              m["MAPE"], dm_sq, dm_abs,
+        rows.append(ReportRow(rec.model_id, m["MSE"], m["RMSE"], m["MAE"], m["MAPE"], *dm,
                               var_estimate(last, 10, 0.95) if last >= 0 else math.nan))
     best_mse = min(r.mse for r in rows)
     best_mae = min(r.mae for r in rows)
@@ -186,10 +176,25 @@ def build_report(records, reference: str, failures=()) -> EvalReport:
     return EvalReport(tuple(rows), reference, tuple(failures))
 
 
-def _fmt_dm(dm) -> tuple:
-    if dm is None:
-        return "***", "***"
-    return f"{dm.statistic:.6f}", f"{dm.p_value:.6f}"
+def _dm_or_none(rec, ref, loss):
+    """The DM test of rec against ref, None when it cannot be computed."""
+    try:
+        return dm_test(rec, ref, loss=loss)
+    except DataError:
+        return None
+
+
+def _cells(row: ReportRow, digits: int, blank: str) -> list:
+    """A row's ten printed cells: MSE x1e5, RMSE and MAE x1e3, MAPE and VaR at
+    `digits` decimals (`blank` when nan), and the DM statistics and p-values
+    at 6 decimals (*** for the reference model)."""
+    def num(x):
+        return blank if math.isnan(x) else f"{x:.{digits}f}"
+    dm = []
+    for d in (row.dm_squared, row.dm_absolute):
+        dm += ["***", "***"] if d is None else [f"{d.statistic:.6f}", f"{d.p_value:.6f}"]
+    return [row.model_id, num(row.mse * 1e5), num(row.rmse * 1e3), num(row.mae * 1e3),
+            num(row.mape), *dm, num(row.var_10d)]
 
 
 def report_csv(report: EvalReport) -> str:
@@ -197,37 +202,22 @@ def report_csv(report: EvalReport) -> str:
     lines = ["model,mse_e05,rmse_e03,mae_e03,mape,dm_stat_squared,dm_p_squared,"
              "dm_stat_absolute,dm_p_absolute,var_10d,best_mse,best_mae"]
     for r in report.rows:
-        sq_s, sq_p = _fmt_dm(r.dm_squared)
-        ab_s, ab_p = _fmt_dm(r.dm_absolute)
-        mape = "" if math.isnan(r.mape) else f"{r.mape:.6f}"
-        var = "" if math.isnan(r.var_10d) else f"{r.var_10d:.6f}"
-        lines.append(
-            f"{r.model_id},{r.mse * 1e5:.6f},{r.rmse * 1e3:.6f},{r.mae * 1e3:.6f},"
-            f"{mape},{sq_s},{sq_p},{ab_s},{ab_p},{var},"
-            f"{int(r.best_mse)},{int(r.best_mae)}")
+        lines.append(",".join(_cells(r, 6, "") + [str(int(r.best_mse)), str(int(r.best_mae))]))
     for model_id, reason in report.failures:
         lines.append(f"{model_id},FAILED: {reason},,,,,,,,,,")
     return "\n".join(lines) + "\n"
 
 
 def report_text(report: EvalReport) -> str:
-    """Aligned plain-text rendering of the same rows."""
-    header = ["Model", "MSE(e-05)", "RMSE(e-03)", "MAE(e-03)", "MAPE",
-              "DM(sq)", "p(sq)", "DM(abs)", "p(abs)", "VaR 10d"]
-    table = [header]
+    """Aligned plain-text rendering of the same rows; * marks a best MSE or MAE."""
+    table = [["Model", "MSE(e-05)", "RMSE(e-03)", "MAE(e-03)", "MAPE",
+              "DM(sq)", "p(sq)", "DM(abs)", "p(abs)", "VaR 10d"]]
     for r in report.rows:
-        sq_s, sq_p = _fmt_dm(r.dm_squared)
-        ab_s, ab_p = _fmt_dm(r.dm_absolute)
-        flag = "*" if r.best_mse or r.best_mae else ""
-        mape = "--" if math.isnan(r.mape) else f"{r.mape:.4f}"
-        var = "--" if math.isnan(r.var_10d) else f"{r.var_10d:.4f}"
-        table.append([r.model_id + flag, f"{r.mse * 1e5:.4f}", f"{r.rmse * 1e3:.4f}",
-                      f"{r.mae * 1e3:.4f}", mape, sq_s, sq_p, ab_s, ab_p, var])
+        cells = _cells(r, 4, "--")
+        cells[0] += "*" if r.best_mse or r.best_mae else ""
+        table.append(cells)
     for model_id, reason in report.failures:
         table.append([model_id, f"FAILED: {reason}"] + [""] * 8)
-    widths = [max(len(row[i]) if i < len(row) else 0 for row in table)
-              for i in range(len(header))]
-    out = []
-    for row in table:
-        out.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return "\n".join(out) + "\n"
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in table]
+    return "\n".join(lines) + "\n"

@@ -240,13 +240,22 @@ def _parse_scalar(v: str):
     return v
 
 
+# The longest expansion of a config range, checked before expanding: the RNN
+# window domain, and 100 times the default EWMA alpha grid.
+MAX_WINDOW_RANGE = len(WINDOW_GRID)
+MAX_EWMA_GRID = 100 * len(classical.EWMA_GRID)
+
+
 def _parse_int_list(v: str):
     out = []
     for part in v.split(","):
         part = part.strip()
         if "-" in part and not part.startswith("-"):
-            a, b = part.split("-")
-            out.extend(range(int(a), int(b) + 1))
+            a, b = (int(x) for x in part.split("-"))
+            if b - a >= MAX_WINDOW_RANGE:
+                raise ConfigError(f"rnn.windows range {part} holds {b - a + 1} windows, "
+                                  f"more than {MAX_WINDOW_RANGE}")
+            out.extend(range(a, b + 1))
         else:
             out.append(int(part))
     return tuple(out)
@@ -266,6 +275,8 @@ def _parse_triples(v: str):
 def _parse_grid(v: str):
     lo, hi, step = (float(x) for x in v.split(":"))
     n = int(round((hi - lo) / step)) + 1
+    if n > MAX_EWMA_GRID:
+        raise ConfigError(f"ewma.grid {v} holds {n} alphas, more than {MAX_EWMA_GRID}")
     return tuple(round(lo + i * step, 10) for i in range(n))
 
 
@@ -417,10 +428,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
 
     reference = config.reference_model if config.reference_model in results \
         else next(reversed(results))
-    recs_v = [ForecastRecord(m, values[v_start:v_stop], fc[0]) for m, fc in results.items()]
-    recs_t = [ForecastRecord(m, values[v_stop:t_stop], fc[1]) for m, fc in results.items()]
-    report_v = build_report(recs_v, reference, failures=failures)
-    report_t = build_report(recs_t, reference, failures=failures)
+    windows = (("validation", v_start, v_stop), ("test", v_stop, t_stop))
+    records = [[ForecastRecord(m, values[start:stop], fc[i]) for m, fc in results.items()]
+               for i, (_, start, stop) in enumerate(windows)]
+    reports = [build_report(recs, reference, failures=failures) for recs in records]
 
     versions = _versions()
     # counted, not floored: a floor would change the scored forecasts
@@ -431,18 +442,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        atomic_write(out / "validation_report.csv", report_csv(report_v))
-        atomic_write(out / "validation_report.txt", report_text(report_v))
-        atomic_write(out / "test_report.csv", report_csv(report_t))
-        atomic_write(out / "test_report.txt", report_text(report_t))
+        (out / "plots").mkdir(exist_ok=True)
+        for (window, start, stop), recs, report in zip(windows, records, reports):
+            atomic_write(out / f"{window}_report.csv", report_csv(report))
+            atomic_write(out / f"{window}_report.txt", report_text(report))
+            emit_plot_data(recs, rv.period_labels[start:stop], out / "plots", suffix=window)
         atomic_write(out / "manifest.txt", manifest.render())
-        plots = out / "plots"
-        plots.mkdir(exist_ok=True)
-        emit_plot_data(recs_v, rv.period_labels[v_start:v_stop], plots, suffix="validation")
-        emit_plot_data(recs_t, rv.period_labels[v_stop:t_stop], plots, suffix="test")
         for model_id, log in search_logs.items():
             atomic_write(out / f"{model_id}_window_search.csv", search_log_csv(log))
-    return report_v, report_t, manifest
+    return (*reports, manifest)
 
 
 def _versions():

@@ -264,6 +264,59 @@ class TestReport:
         assert txt.splitlines()[0].startswith("Model")
         assert "MSE(e-05)" in txt and "VaR 10d" in txt
 
+    def test_renderers_share_the_table_conventions(self):
+        # a reference row, a zero actual (MAPE blank), a negative last
+        # forecast (VaR blank) and a failure, in both renderers
+        rng = np.random.default_rng(3)
+        actual = np.abs(rng.standard_normal(40)) * 0.01 + 0.01
+        actual[5] = 0.0
+        negative_last = actual + 0.002 * rng.standard_normal(40)
+        negative_last[-1] = -0.001
+        rep = build_report([rec("naive", actual, np.roll(actual, 1)),
+                            rec("har", actual, negative_last),
+                            rec("lstm", actual, actual + 0.001 * rng.standard_normal(40))],
+                           reference="naive", failures=(("garch", "fit diverged"),))
+
+        def cells(r, digits, blank):
+            def fmt(x):
+                return blank if math.isnan(x) else f"{x:.{digits}f}"
+            dm = []
+            for d in (r.dm_squared, r.dm_absolute):
+                dm += ["***", "***"] if d is None else [f"{d.statistic:.6f}", f"{d.p_value:.6f}"]
+            return ([r.model_id, f"{r.mse * 1e5:.{digits}f}", f"{r.rmse * 1e3:.{digits}f}",
+                     f"{r.mae * 1e3:.{digits}f}", fmt(r.mape)] + dm + [fmt(r.var_10d)])
+
+        naive, har, lstm = rep.rows
+        assert naive.dm_squared is None and naive.dm_absolute is None
+        assert har.dm_squared is not None and lstm.dm_absolute is not None
+        assert all(math.isnan(r.mape) for r in rep.rows)
+        assert math.isnan(har.var_10d) and not math.isnan(lstm.var_10d)
+        assert lstm.best_mse and not naive.best_mse and not naive.best_mae
+
+        csv = report_csv(rep).splitlines()
+        assert csv[0] == ("model,mse_e05,rmse_e03,mae_e03,mape,dm_stat_squared,dm_p_squared,"
+                          "dm_stat_absolute,dm_p_absolute,var_10d,best_mse,best_mae")
+        for r, line in zip(rep.rows, csv[1:]):
+            assert line.split(",") == (cells(r, 6, "")
+                                       + [str(int(r.best_mse)), str(int(r.best_mae))])
+        assert csv[1].split(",")[5:9] == ["***"] * 4
+        assert csv[2].split(",")[4] == "" and csv[2].split(",")[9] == ""
+        assert csv[4:] == ["garch,FAILED: fit diverged,,,,,,,,,,"]
+
+        table = [["Model", "MSE(e-05)", "RMSE(e-03)", "MAE(e-03)", "MAPE",
+                  "DM(sq)", "p(sq)", "DM(abs)", "p(abs)", "VaR 10d"]]
+        for r in rep.rows:
+            row = cells(r, 4, "--")
+            row[0] += "*" if r.best_mse or r.best_mae else ""
+            table.append(row)
+        table.append(["garch", "FAILED: fit diverged"] + [""] * 8)
+        assert table[2][4] == "--" and table[2][9] == "--" and table[3][0] == "lstm*"
+        assert table[1][0] == "naive" and table[1][5:9] == ["***"] * 4
+        widths = [max(len(row[i]) for row in table) for i in range(10)]
+        assert report_text(rep) == "".join(
+            "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+            for row in table)
+
 
 # scipy.stats and scipy.optimize are oracles of the tests only; the program
 # computes with its own simplex, and with scipy.special, which only the first

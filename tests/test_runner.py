@@ -78,6 +78,17 @@ class TestConfig:
         cfg = config_from_mapping({"models": "lstm", "rnn.windows": "1-3,10"})
         assert cfg.rnn_windows == (1, 2, 3, 10)
 
+    def test_ranges_expand_up_to_their_cap(self):
+        # the longest range of each key parses; one element more is refused unexpanded
+        cfg = config_from_mapping({"models": "lstm", "rnn.windows": "1-50"})
+        assert cfg.rnn_windows == tuple(range(1, 51))
+        with pytest.raises(ConfigError, match="rnn.windows range 1-51 holds 51 windows"):
+            config_from_mapping({"rnn.windows": "1-51"})
+        cfg = config_from_mapping({"models": "ewma", "ewma.grid": "0.0001:0.99:0.0001"})
+        assert len(cfg.ewma_grid) == runner.MAX_EWMA_GRID == 9900
+        with pytest.raises(ConfigError, match="ewma.grid 0.0001:0.9901:0.0001 holds 9901"):
+            config_from_mapping({"ewma.grid": "0.0001:0.9901:0.0001"})
+
     def test_reference_defaults_to_last_model(self):
         cfg = config_from_mapping({"models": "naive,har,ewma"})
         assert cfg.reference_model == "ewma"
@@ -365,6 +376,10 @@ class TestCli:
         "har.lags = 5,1,22\nmodels = har\n",
         "har.grid = 5,1,22;9,4,30\nmodels = har_opt\n",
         "arima.orders = -1,0,0\nmodels = arima\n",
+        "ewma.grid = 0.01:0.99:0.00001\nmodels = ewma\n",
+        "ewma.grid = 0.00001:1:0.00001\n",
+        "rnn.windows = 1-100000\n",
+        "rnn.windows = 5,10-60\nmodels = lstm\n",
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, lines):
         cfg = write_config(tmp_path, CASCADE_CONFIG + lines)
