@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import sys
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -64,6 +66,12 @@ class Data:
     @property
     def trainval(self):
         return self.values[:self.v_stop]
+
+    @property
+    def windows(self):
+        """(name, start, stop) of the validation and the test window."""
+        return (("validation", self.v_start, self.v_stop),
+                ("test", self.v_stop, len(self.values)))
 
 
 def _on_values(path):
@@ -388,11 +396,30 @@ class RunManifest:
         return "\n".join(lines) + "\n"
 
 
+def _fit_model(model_id, config, data):
+    """One model's fit and its validation and test paths, in a worker process
+    or in-process.  Returns (forecasts, dump, search log, seconds), or the
+    message of the VolforgeError that failed the model; a forecast that is
+    not finite fails it too."""
+    fit, path = MODELS[model_id]
+    t0 = time.perf_counter()
+    try:
+        model, refit, dump, search_log = fit(config, data)
+        forecasts = tuple(path(m, data, start, stop)
+                          for m, (_, start, stop) in zip((model, refit), data.windows))
+        for fc, (_, start, stop) in zip(forecasts, data.windows):
+            ForecastRecord(model_id, data.values[start:stop], fc)
+    except VolforgeError as exc:
+        return str(exc)
+    return forecasts, dump, search_log, time.perf_counter() - t0
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None):
     """Fit all enabled models and emit validation/test reports.
 
-    Model failures are isolated: the run continues and the failed model is
-    listed in the report's failure section.  Data errors abort the run.
+    Model failures are isolated: a model whose fit raises a VolforgeError, or
+    whose forecasts are not finite, is listed in the report's failure section
+    and the run continues.  Data errors abort the run.
     Returns (validation EvalReport, test EvalReport, RunManifest).
     """
     rv, r_full = _load_data(config)
@@ -402,22 +429,32 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     train_rv, valid_rv, test_rv = split(rv, spec, min_train=lookback + 10)
     rv = apply_zero_floor(rv, len(train_rv))
     values = rv.rv
-    v_start, v_stop, t_stop = len(train_rv), len(train_rv) + len(valid_rv), len(rv)
-    data = Data(values, r_full, v_start, v_stop)
+    data = Data(values, r_full, len(train_rv), len(train_rv) + len(valid_rv))
 
-    results, failures, timings, dumps = {}, [], [], []
-    search_logs = {}
-    for model_id in config.models:
-        fit, path = MODELS[model_id]
-        t0 = time.perf_counter()
-        try:
-            model, refit, dump, search_log = fit(config, data)
-            results[model_id] = (path(model, data, v_start, v_stop),
-                                 path(refit, data, v_stop, t_stop))
-        except VolforgeError as exc:
-            failures.append((model_id, str(exc)))
+    # The models fit independently, so they fit in parallel, one job each.
+    # fork, not spawn: a forked worker starts with numpy and the program
+    # loaded, where a spawned one would import them again on every run.
+    # A job's bits do not depend on the worker that runs it.
+    job = partial(_fit_model, config=config, data=data)
+    workers = (min(len(config.models), len(os.sched_getaffinity(0)))
+               if sys.platform == "linux" else 1)
+    if workers > 1:
+        import multiprocessing      # here, so that `import volforge.cli` stays without them
+        from concurrent.futures import ProcessPoolExecutor
+        # map cancels the jobs not yet started when one raises, and leaving
+        # the block joins every worker, on success and on error alike
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            outcomes = list(pool.map(job, config.models))
+    else:
+        outcomes = list(map(job, config.models))
+
+    results, failures, timings, dumps, search_logs = {}, [], [], [], {}
+    for model_id, outcome in zip(config.models, outcomes):
+        if isinstance(outcome, str):
+            failures.append((model_id, outcome))
             continue
-        timings.append((model_id, time.perf_counter() - t0))
+        results[model_id], dump, search_log, seconds = outcome
+        timings.append((model_id, seconds))
         dumps.append((model_id, dump))
         if search_log is not None:
             search_logs[model_id] = search_log
@@ -428,9 +465,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
 
     reference = config.reference_model if config.reference_model in results \
         else next(reversed(results))
-    windows = (("validation", v_start, v_stop), ("test", v_stop, t_stop))
     records = [[ForecastRecord(m, values[start:stop], fc[i]) for m, fc in results.items()]
-               for i, (_, start, stop) in enumerate(windows)]
+               for i, (_, start, stop) in enumerate(data.windows)]
     reports = [build_report(recs, reference, failures=failures) for recs in records]
 
     versions = _versions()
@@ -443,7 +479,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "plots").mkdir(exist_ok=True)
-        for (window, start, stop), recs, report in zip(windows, records, reports):
+        for (window, start, stop), recs, report in zip(data.windows, records, reports):
             atomic_write(out / f"{window}_report.csv", report_csv(report))
             atomic_write(out / f"{window}_report.txt", report_text(report))
             emit_plot_data(recs, rv.period_labels[start:stop], out / "plots", suffix=window)

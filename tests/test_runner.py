@@ -1,5 +1,10 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from hypothesis import strategies as st
 
 from volforge import classical, runner
 from volforge.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MODEL, EXIT_OK, main
-from volforge.errors import ConfigError
+from volforge.errors import ConfigError, FitError
 from volforge.evaluation import ForecastRecord
 from volforge.runner import (ALL_MODELS, MODELS, Data, ExperimentConfig,
                              config_from_mapping, emit_plot_data, parse_config,
@@ -580,3 +585,138 @@ def test_forecasts_ignore_later_data(fitted_models, model_id, k, scale):
     got = MODELS[model_id][1](model, perturbed, LEAK_V_STOP, LEAK_T_STOP)
     seen = k - LEAK_V_STOP + 1
     np.testing.assert_array_equal(got[:seen], expected[:seen])
+
+
+PARALLEL_CONFIG = """
+data.source = synth
+synth.kind = cascade
+synth.length = 160
+synth.noise_sd = 0.3
+split.validation = 30
+split.test = 30
+models = naive,ewma,arima,har_opt,gjr,lstm,gru
+arima.orders = 6,0,6
+har.grid = 1,5,22;2,6,30
+rnn.windows = 2,3
+rnn.epochs = 2
+rnn.units = 5
+seed = 3
+"""
+
+
+THREE_MODELS = ExperimentConfig(
+    synth_kind="cascade", synth_params=(("length", 700), ("noise_sd", 0.3)),
+    validation_len=100, test_len=100, models=("naive", "ewma", "har"))
+
+
+def pin_cpus(monkeypatch, cpus):
+    """The runner reads `cpus` usable CPUs for this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each process pool that run_experiment starts."""
+    import concurrent.futures
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+def pooled(workers):
+    """The pools a run with more than one worker starts: fork pools exist on Linux only."""
+    return [workers] if workers > 1 and sys.platform == "linux" else []
+
+
+class TestParallelFits:
+    def test_serial_and_pooled_runs_write_the_same_bytes(self, tmp_path, monkeypatch, pools):
+        cfg = parse_config(write_config(tmp_path, PARALLEL_CONFIG))
+        runs = []
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            runs.append((out, run_experiment(cfg, out_dir=out)))
+        assert pools == pooled(2)
+        (out1, (_, test1, manifest1)), (out2, (_, test2, manifest2)) = runs
+        assert [m for m, _ in test1.failures] == ["arima"]
+        assert test1.failures == test2.failures
+        assert [m for m, _ in manifest1.model_params] == [
+            "naive", "ewma", "har_opt", "gjr", "lstm", "gru"]
+        assert manifest1.model_params == manifest2.model_params
+        assert [m for m, _ in manifest1.timings] == [m for m, _ in manifest2.timings]
+        assert manifest1.negatives == manifest2.negatives
+        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+        assert {"lstm_window_search.csv", "gru_window_search.csv"} <= {f.name for f in files}
+        for name in files:
+            t1, t2 = ((o / name).read_bytes().splitlines(keepends=True) for o in (out1, out2))
+            if name.name == "manifest.txt":     # wall-clock lines
+                t1, t2 = ([l for l in t if not l.startswith(b"timing.")] for t in (t1, t2))
+            assert t1 == t2, name
+
+    def test_pool_takes_one_worker_per_usable_cpu_up_to_the_model_count(self, monkeypatch,
+                                                                        pools):
+        for cpus in (4, 2):
+            pin_cpus(monkeypatch, cpus)
+            run_experiment(THREE_MODELS)
+        assert pools == pooled(3) + pooled(2)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_non_finite_forecast_fails_only_its_model(self, tmp_path, monkeypatch, pools, cpus):
+        pin_cpus(monkeypatch, cpus)
+        fit, path = MODELS["arima"]
+
+        def ends_in_inf(*args):
+            fc = path(*args).copy()
+            fc[-1] = np.inf
+            return fc
+
+        monkeypatch.setitem(MODELS, "arima", (fit, ends_in_inf))
+        cfg = write_config(tmp_path, "\n".join([
+            "data.source = synth", "synth.kind = cascade", "synth.length = 130",
+            "synth.noise_sd = 0.3", "split.validation = 40", "split.test = 40",
+            "models = naive,arima,ewma", "arima.orders = 1,0,0;0,1,1", "seed = 33", ""]))
+        for report in run_experiment(parse_config(cfg))[:2]:
+            assert [r.model_id for r in report.rows] == ["naive", "ewma"]
+            assert report.failures == (("arima", "forecast record contains NaN or inf"),)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert "arima,FAILED: forecast record contains NaN or inf" in (
+            out / "test_report.csv").read_text()
+        assert pools == pooled(cpus) * 2
+
+    @pytest.mark.parametrize("error", [None, FitError, RuntimeError])
+    def test_no_worker_outlives_a_run(self, monkeypatch, pools, error):
+        pin_cpus(monkeypatch, 2)
+        if error is not None:
+            def failing(config, data):
+                raise error("injected")
+            monkeypatch.setitem(MODELS, "ewma", (failing, MODELS["ewma"][1]))
+        if error is RuntimeError:
+            with pytest.raises(RuntimeError, match="injected"):
+                run_experiment(THREE_MODELS)
+        else:
+            _, report_t, _ = run_experiment(THREE_MODELS)
+            assert report_t.failures == ((("ewma", "injected"),) if error else ())
+        assert pools == pooled(2)
+        assert multiprocessing.active_children() == []
+
+
+def test_cli_import_loads_no_process_pool():
+    """The pool's modules load on a run's first pool, not at start-up."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, volforge.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
